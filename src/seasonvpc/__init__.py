@@ -63,7 +63,7 @@ from .classify import (
     predict,
     train,
 )
-from .fusion import FusedResult, GlobalCandidate, fuse, top_x
+from .fusion import FusedResult, GlobalCandidate, fuse, fused_results, top_x
 from .missions import (
     MissionConfig,
     VPCQuery,

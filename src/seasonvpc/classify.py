@@ -103,23 +103,32 @@ def init_model(f_dim: int, hidden: int, n_classes: int, seed: int = 0,
                           weight_scale, seed=seed)
 
 
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
+
+
 def _forward(m: ModelParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     z1 = x @ m.w1.T + m.b1
     a1 = np.maximum(z1, 0.0)
-    logits = a1 @ m.w2.T + m.b2
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    probs = e / e.sum(axis=1, keepdims=True)
-    return z1, a1, probs
+    return z1, a1, _softmax(a1 @ m.w2.T + m.b2)
 
 
-def predict(m: ModelParams, feature: np.ndarray) -> Prediction:
-    """Class probabilities for one feature vector."""
-    f = np.asarray(feature, dtype=np.float64)
-    if f.ndim != 1 or f.shape[0] != m.feature_dim:
-        raise ValueError(f"feature dimension {f.shape} != model input {m.feature_dim}")
-    _, _, probs = _forward(m, f[None, :])
-    return Prediction(probs=probs[0])
+def predict(m: ModelParams, features: np.ndarray) -> np.ndarray:
+    """Class probabilities (n, K) for a batch of feature vectors (n, F).
+
+    Each row is multiplied on its own: the matmuls are stacked over an
+    (n, 1, F) batch, so every row runs the same matrix-vector product as a
+    batch of one. A row's probabilities are therefore bit-identical whatever
+    batch it arrives in; one (n, F) GEMM would block the sums differently
+    depending on n and change the last bits.
+    """
+    x = np.asarray(features, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != m.feature_dim:
+        raise ValueError(f"feature batch shape {x.shape} != (n, {m.feature_dim})")
+    a1 = np.maximum((x[:, None, :] @ m.w1.T)[:, 0, :] + m.b1, 0.0)
+    return _softmax((a1[:, None, :] @ m.w2.T)[:, 0, :] + m.b2)
 
 
 @dataclass

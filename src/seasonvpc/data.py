@@ -174,7 +174,10 @@ def associate(poses: list[tuple[int, Viewpoint]], features: np.ndarray, *,
         MappedImage(id=i, timestamp=ts, viewpoint=vp, feature=np.asarray(vec))
         for i, ((ts, vp), vec) in enumerate(pairs)
     )
-    return TrainingSet(season_id=season_id, label=label, images=images)
+    try:
+        return TrainingSet(season_id=season_id, label=label, images=images)
+    except ValueError as exc:
+        raise DataError(f"season {season_id}: {exc}") from exc
 
 
 def load_manifest(path) -> tuple[int, list[DatasetBundle]]:

@@ -1,14 +1,23 @@
 """Probability-rank fusion of ensemble outputs: concatenate each classifier's
 top-X classes mapped to global poses, re-rank by raw probability, truncate.
-No calibration, no deduplication."""
+No calibration, no deduplication.
+
+The order is probability descending, then slot ascending, then class
+ascending. Over a row that concatenates every slot's class probabilities in
+slot order, that is one stable sort of -p; and since every member of the
+global top X is also within its own slot's top X, ranking the whole row at
+once equals ranking each slot and merging the lists.
+"""
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import PartitionSummary, PlacePartition, Viewpoint
-from .classify import Prediction
+import numpy as np
+
+from .core import PartitionSummary, Viewpoint
 
 
 @dataclass(frozen=True)
@@ -37,25 +46,50 @@ class FusedResult:
             raise ValueError("fused probabilities must be non-increasing")
 
 
-def top_x(pred: Prediction, partition: "PlacePartition | PartitionSummary", x: int,
-          slot: int = 0) -> list[GlobalCandidate]:
-    """The x most probable classes of one classifier, annotated with their
-    representative global poses. Ties go to the smaller class id."""
+def _order(probs: np.ndarray, x: int) -> np.ndarray:
+    """Indices of the x largest entries along the last axis, largest first;
+    equal entries keep their index order."""
+    return np.argsort(-probs, axis=-1, kind="stable")[..., :x]
+
+
+def top_x(probs: np.ndarray, x: int) -> np.ndarray:
+    """Rank a batch of slot-concatenated probability rows.
+
+    probs is (n, C): row i holds query i's class probabilities of every
+    active slot, slot after slot. Returns the (n, min(x, C)) column indices
+    of each row's fused top x, in fusion order.
+    """
     if x < 1:
         raise ValueError("x must be >= 1")
-    k = len(pred.probs)
-    if k != len(partition.classes):
-        raise ValueError(f"prediction over {k} classes != partition with {len(partition.classes)}")
-    order = sorted(range(k), key=lambda c: (-float(pred.probs[c]), c))
-    return [
-        GlobalCandidate(
-            source_classifier=slot,
-            class_id=c,
-            probability=float(pred.probs[c]),
-            location=partition.classes[c].representative,
-        )
-        for c in order[:x]
-    ]
+    # NaN compares false, so this rejects it too; an unchecked sort would put
+    # NaN last and answer from the other slots.
+    if not ((probs >= 0.0) & (probs <= 1.0)).all():
+        raise ValueError("probabilities must be finite and in [0, 1]")
+    return _order(probs, x)
+
+
+def fused_results(probs: np.ndarray, order: np.ndarray, slots: Sequence[int],
+                  partitions: Sequence[PartitionSummary]) -> list[FusedResult]:
+    """Candidate lists for the ranked columns of top_x.
+
+    Column c of probs belongs to the slot whose class range holds it, in the
+    order of `slots`, with `partitions` giving each slot's classes.
+    """
+    starts = [0]  # first column of each slot, then the total
+    for part in partitions:
+        starts.append(starts[-1] + len(part.classes))
+    if starts[-1] != probs.shape[1]:
+        raise ValueError(f"probabilities over {probs.shape[1]} classes != partitions "
+                         f"with {starts[-1]}")
+    results = []
+    for cols, row_p in zip(order.tolist(), np.take_along_axis(probs, order, axis=1).tolist()):
+        ranked = []
+        for col, p in zip(cols, row_p):
+            s = bisect_right(starts, col) - 1
+            c = col - starts[s]
+            ranked.append(GlobalCandidate(slots[s], c, p, partitions[s].classes[c].representative))
+        results.append(FusedResult(tuple(ranked)))
+    return results
 
 
 def fuse(lists: Sequence[Sequence[GlobalCandidate]], x: int) -> FusedResult:
@@ -66,8 +100,9 @@ def fuse(lists: Sequence[Sequence[GlobalCandidate]], x: int) -> FusedResult:
     """
     if x < 1:
         raise ValueError("x must be >= 1")
-    merged = [c for lst in lists for c in lst]
+    merged = sorted((c for lst in lists for c in lst),
+                    key=lambda c: (c.source_classifier, c.class_id))
     if not merged:
         raise ValueError("fuse needs at least one non-empty candidate list")
-    merged.sort(key=lambda c: (-c.probability, c.source_classifier, c.class_id))
-    return FusedResult(ranked=tuple(merged[:x]))
+    order = _order(np.array([c.probability for c in merged]), x)
+    return FusedResult(ranked=tuple(merged[i] for i in order))

@@ -5,6 +5,7 @@ persistent state container (models + partition metadata, never raw data)."""
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -24,13 +25,18 @@ from .core import (
     membership_labels,
     viewpoint_distance,
 )
-from .fusion import FusedResult, fuse, top_x
+# fuse is not called here; it stays importable from this module next to the
+# other layer functions, which perfbench/spans.py patches by name.
+from .fusion import FusedResult, fuse, fused_results, top_x  # noqa: F401
 from .placedef import PartitionConfig, build_partition
 from .sched import Schedule, StrategyConfig, next_schedule, st3_fusion_filter
 
 STATE_MAGIC = b"SVPC"
 STATE_VERSION = 1
 _HEADER = struct.Struct("<4sIQ32s")  # magic, version, payload length, sha256
+
+# Slots per ensemble; _slot_seed keeps seeds distinct only up to this many.
+MAX_CAPACITY = 100
 
 PARTITION_METHOD_CODES = {"location": 0, "location-appearance": 1, "incremental": 2}
 _METHOD_BY_CODE = {v: k for k, v in PARTITION_METHOD_CODES.items()}
@@ -53,6 +59,8 @@ class MissionConfig:
     def __post_init__(self) -> None:
         if self.fusion_x < 1 or self.capacity < 1:
             raise ValueError("fusion_x and capacity must be >= 1")
+        if self.capacity > MAX_CAPACITY:
+            raise ValueError(f"capacity must be <= {MAX_CAPACITY}")
         if not self.error_thresholds or any(t <= 0 for t in self.error_thresholds):
             raise ValueError("error thresholds must be positive")
         if self.success_mode not in ("rank1", "topx"):
@@ -79,8 +87,9 @@ def initial_state(capacity: int) -> EnsembleState:
 
 def _slot_seed(cfg: TrainConfig, mission: int, slot: int) -> int:
     # Distinct deterministic stream per (mission, slot) so coincidentally
-    # identical retrains still produce diverse ensemble members.
-    return cfg.seed + 100 * mission + slot
+    # identical retrains still produce diverse ensemble members; distinct
+    # because slot < MAX_CAPACITY.
+    return cfg.seed + MAX_CAPACITY * mission + slot
 
 
 def run_adaptation(state: EnsembleState, d: TrainingSet, cfg: MissionConfig) -> EnsembleState:
@@ -138,26 +147,24 @@ def run_vpc(state: EnsembleState, queries: Sequence[VPCQuery],
             cfg: MissionConfig) -> list[FusedResult]:
     """Classify every query through the ensemble and fuse the ranked lists.
 
-    Pure with respect to the state; deterministic.
+    One forward pass per active slot over all queries, then one ranking of
+    the slot-concatenated probability rows. Each query's result is identical
+    to ranking each slot's classes and fusing the lists (`fuse`), and does
+    not depend on the other queries in the batch. Pure with respect to the
+    state; deterministic.
     """
     if state.mission < 1:
         raise ValueError("VPC needs at least one adaptation mission")
     slots = active_slots(state, cfg.strategy)
     if not slots:
         raise ValueError("no trained classifiers available for VPC")
-    results = []
-    for q in queries:
-        lists = [
-            top_x(
-                predict(state.classifiers[j].model, np.asarray(q.feature, dtype=np.float64)),
-                state.classifiers[j].partition,
-                cfg.fusion_x,
-                slot=j,
-            )
-            for j in slots
-        ]
-        results.append(fuse(lists, cfg.fusion_x))
-    return results
+    if not queries:
+        return []
+    features = np.stack([np.asarray(q.feature, dtype=np.float64) for q in queries])
+    records = [state.classifiers[j] for j in slots]
+    probs = np.concatenate([predict(rec.model, features) for rec in records], axis=1)
+    return fused_results(probs, top_x(probs, cfg.fusion_x), slots,
+                         [rec.partition for rec in records])
 
 
 def success_ratio(results: Sequence[FusedResult], queries: Sequence[VPCQuery],
@@ -246,7 +253,9 @@ class _Reader:
         return out
 
     def array(self, shape: tuple[int, ...]) -> np.ndarray:
-        count = int(np.prod(shape))
+        # Python ints: a product of crafted u32 dimensions cannot wrap, and
+        # raw() refuses it before anything is allocated.
+        count = math.prod(shape)
         return np.frombuffer(self.raw(8 * count), dtype="<f8").reshape(shape).copy()
 
     def viewpoint(self) -> Viewpoint:
@@ -266,6 +275,8 @@ def _deserialize(blob: bytes) -> EnsembleState:
         model = None
         if has_model:
             f_dim, hidden, n_classes = r.take("<III")
+            if min(f_dim, hidden, n_classes) < 1:
+                raise StateFormatError("model dimensions must be >= 1")
             w1 = r.array((hidden, f_dim))
             b1 = r.array((hidden,))
             w2 = r.array((n_classes, hidden))
@@ -331,7 +342,10 @@ def load_state(path) -> EnsembleState:
         raise StateFormatError(f"{path}: payload length {len(payload)} != header {length}")
     if hashlib.sha256(payload).digest() != digest:
         raise StateFormatError(f"{path}: checksum mismatch")
-    return _deserialize(payload)
+    try:
+        return _deserialize(payload)
+    except ValueError as exc:  # a record the domain types reject, e.g. a history bit of 2
+        raise StateFormatError(f"{path}: invalid record: {exc}") from exc
 
 
 def states_equal(a: EnsembleState, b: EnsembleState) -> bool:

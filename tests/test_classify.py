@@ -34,33 +34,34 @@ def test_init_model_deterministic():
 
 def test_zero_weight_scale_gives_uniform_prediction():
     m = init_model(5, 4, 3, seed=0, weight_scale=0.0)
-    p = predict(m, np.ones(5))
-    np.testing.assert_allclose(p.probs, np.full(3, 1 / 3))
+    p = predict(m, np.ones((1, 5)))
+    np.testing.assert_allclose(p, np.full((1, 3), 1 / 3))
 
 
 def test_single_class_predicts_one():
     m = init_model(5, 4, 1, seed=0)
-    np.testing.assert_allclose(predict(m, np.ones(5)).probs, [1.0])
+    np.testing.assert_allclose(predict(m, np.ones((2, 5))), [[1.0], [1.0]])
 
 
 def test_predict_probabilities_normalized_and_shift_invariant():
     rng = np.random.default_rng(1)
     m = init_model(6, 5, 4, seed=7, weight_scale=0.5)
-    for _ in range(20):
-        f = rng.normal(size=6)
-        p = predict(m, f)
-        assert abs(float(p.probs.sum()) - 1.0) < 1e-6
-        assert np.all(p.probs >= 0)
+    p = predict(m, rng.normal(size=(20, 6)))
+    assert p.shape == (20, 4)
+    assert np.all(np.abs(p.sum(axis=1) - 1.0) < 1e-6)
+    assert np.all(p >= 0)
     shifted = init_model(6, 5, 4, seed=7, weight_scale=0.5)
     shifted.b2[:] = m.b2 + 3.7  # constant added to every logit
-    f = rng.normal(size=6)
-    np.testing.assert_allclose(predict(m, f).probs, predict(shifted, f).probs, atol=1e-12)
+    f = rng.normal(size=(1, 6))
+    np.testing.assert_allclose(predict(m, f), predict(shifted, f), atol=1e-12)
 
 
 def test_predict_dimension_mismatch():
     m = init_model(5, 4, 3, seed=0)
     with pytest.raises(ValueError):
-        predict(m, np.ones(6))
+        predict(m, np.ones((1, 6)))
+    with pytest.raises(ValueError):
+        predict(m, np.ones(5))  # one vector, not a batch
 
 
 def test_loss_analytic_values():
@@ -130,7 +131,7 @@ def test_train_separable_blobs():
     rng = np.random.default_rng(0)
     x, y = _blobs(rng)
     m = train(x, y, 3, TrainConfig(epochs=30, seed=0))
-    pred = np.array([int(np.argmax(predict(m, f).probs)) for f in x])
+    pred = predict(m, x).argmax(axis=1)
     assert (pred == y).mean() >= 0.95
 
 

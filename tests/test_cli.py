@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from seasonvpc.cli import main
@@ -148,3 +149,28 @@ def test_bad_flag_is_usage_error(capsys):
 def test_no_command_prints_help(capsys):
     assert main([]) == 1
     assert "seasonvpc" in capsys.readouterr().out
+
+
+def test_run_nan_feature_in_manifest_is_data_error(tmp_path, capsys, caplog):
+    from seasonvpc import Viewpoint, write_features, write_poses
+    seasons = []
+    for sid in (1, 2):
+        write_poses(tmp_path / f"p{sid}.csv",
+                    [(t * 1_000_000, Viewpoint(3.0 * t, 0.0)) for t in range(4)])
+        feats = np.ones((4, 3))
+        if sid == 2:
+            feats[2, 1] = np.nan
+        write_features(tmp_path / f"f{sid}.bin", feats)
+        seasons.append({"poses": f"p{sid}.csv", "features": f"f{sid}.bin",
+                        "label": str(sid), "season_id": sid})
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"feature_dim": 3, "seasons": seasons}))
+    spec = _spec_file(tmp_path, manifest=str(manifest), missions=1)
+    doc = json.loads(spec.read_text())
+    del doc["synth"]
+    spec.write_text(json.dumps(doc))
+    code = main(["run", "--spec", str(spec), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "non-finite feature" in err
+    assert "Traceback" not in err + caplog.text

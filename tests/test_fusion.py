@@ -5,10 +5,10 @@ from seasonvpc import (
     FusedResult,
     GlobalCandidate,
     MappedImage,
-    Prediction,
     TrainingSet,
     Viewpoint,
     fuse,
+    fused_results,
     partition_by_location,
     top_x,
 )
@@ -26,41 +26,53 @@ def _cand(slot, cid, prob, x=0.0):
                            location=Viewpoint(x, 0.0))
 
 
+def _ranked(probs, parts, x, slots=None):
+    probs = np.array([probs])
+    slots = list(range(len(parts))) if slots is None else slots
+    return list(fused_results(probs, top_x(probs, x), slots, parts)[0].ranked)
+
+
 def test_top_x_sorts_by_probability():
     part = _partition(3)
-    pred = Prediction(probs=np.array([0.1, 0.7, 0.2]))
-    out = top_x(pred, part, 2)
+    out = _ranked([0.1, 0.7, 0.2], [part], 2)
     assert [c.class_id for c in out] == [1, 2]
     assert [c.probability for c in out] == [0.7, 0.2]
     assert out[0].location == part.classes[1].representative
 
 
 def test_top_x_with_x_at_least_k_returns_all():
-    part = _partition(3)
-    pred = Prediction(probs=np.array([0.5, 0.2, 0.3]))
-    out = top_x(pred, part, 10)
-    assert [c.class_id for c in out] == [0, 2, 1]
+    assert top_x(np.array([[0.5, 0.2, 0.3]]), 10).tolist() == [[0, 2, 1]]
 
 
 def test_top_x_tie_breaks_to_lower_class_id():
-    part = _partition(4)
-    pred = Prediction(probs=np.array([0.25, 0.25, 0.25, 0.25]))
-    out = top_x(pred, part, 4)
-    assert [c.class_id for c in out] == [0, 1, 2, 3]
+    assert top_x(np.array([[0.25, 0.25, 0.25, 0.25]]), 4).tolist() == [[0, 1, 2, 3]]
+
+
+def test_top_x_tie_breaks_to_lower_slot_then_class():
+    a, b = _partition(2), _partition(3)
+    out = _ranked([0.1, 0.45, 0.45, 0.1, 0.45], [a, b], 5, slots=[1, 3])
+    assert [(c.source_classifier, c.class_id) for c in out] == \
+        [(1, 1), (3, 0), (3, 2), (1, 0), (3, 1)]
+    assert out[1].location == b.classes[0].representative
 
 
 def test_top_x_validates_sizes():
     part = _partition(3)
     with pytest.raises(ValueError):
-        top_x(Prediction(probs=np.array([0.5, 0.5])), part, 1)
+        _ranked([0.5, 0.5], [part], 1)
     with pytest.raises(ValueError):
-        top_x(Prediction(probs=np.array([1 / 3] * 3)), part, 0)
+        top_x(np.array([[1 / 3] * 3]), 0)
+
+
+def test_top_x_rejects_invalid_probabilities():
+    for bad in (np.nan, np.inf, -0.1, 1.5):
+        with pytest.raises(ValueError):
+            top_x(np.array([[0.5, 0.5], [0.2, bad]]), 1)
 
 
 def test_fuse_single_classifier_is_identity():
     part = _partition(3)
-    pred = Prediction(probs=np.array([0.6, 0.1, 0.3]))
-    lst = top_x(pred, part, 3, slot=0)
+    lst = _ranked([0.6, 0.1, 0.3], [part], 3)
     fused = fuse([lst], 3)
     assert list(fused.ranked) == lst
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -113,9 +115,11 @@ def test_run_vpc_single_classifier_matches_direct_ranking():
     from seasonvpc import predict, top_x
     rec = state.classifiers[0]
     for q, res in zip(queries, results):
-        direct = top_x(predict(rec.model, np.asarray(q.feature, float)), rec.partition,
-                       cfg.fusion_x, slot=0)
-        assert list(res.ranked) == direct
+        probs = predict(rec.model, np.asarray(q.feature, float)[None, :])
+        direct = [(0, c, float(probs[0, c]), rec.partition.classes[c].representative)
+                  for c in top_x(probs, cfg.fusion_x)[0].tolist()]
+        assert [(c.source_classifier, c.class_id, c.probability, c.location)
+                for c in res.ranked] == direct
 
 
 def test_run_vpc_duplicate_classifiers_duplicate_candidates():
@@ -244,6 +248,43 @@ def test_state_bad_magic_and_version(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(StateFormatError):
         load_state(path)
+
+
+def _rewrite_payload(path, offset, data):
+    """Overwrite payload bytes and re-seal the checksum, so only the record
+    parser can object."""
+    blob = bytearray(path.read_bytes())
+    header = 48  # magic, version, payload length, sha256
+    blob[header + offset:header + offset + len(data)] = data
+    blob[16:header] = hashlib.sha256(bytes(blob[header:])).digest()
+    path.write_bytes(bytes(blob))
+
+
+def test_state_crafted_history_bit_is_format_error(tmp_path):
+    path = tmp_path / "state.svpc"
+    save_state(_four_mission_state(), path)
+    _rewrite_payload(path, 24, b"\x02")  # first bit of slot 0's history
+    with pytest.raises(StateFormatError, match="history bits"):
+        load_state(path)
+
+
+def test_state_crafted_model_dimensions_are_format_error(tmp_path):
+    path = tmp_path / "state.svpc"
+    save_state(_four_mission_state(), path)
+    # slot 0: 4 history bits at 24..27, model flag at 28, then f_dim, hidden
+    _rewrite_payload(path, 29, b"\xff" * 8)
+    with pytest.raises(StateFormatError):
+        load_state(path)
+    _rewrite_payload(path, 29, b"\x00" * 4)
+    with pytest.raises(StateFormatError):
+        load_state(path)
+
+
+def test_capacity_bounded_so_slot_seeds_stay_distinct():
+    strategy = StrategyConfig("ST1")
+    assert MissionConfig(strategy=strategy, capacity=100).capacity == 100
+    with pytest.raises(ValueError):
+        MissionConfig(strategy=strategy, capacity=101)
 
 
 def test_state_size_independent_of_dataset_length(tmp_path):

@@ -2,7 +2,9 @@
 
 Per-season retraining scheduling of a classifier ensemble, unsupervised
 place-class definition from trajectories, probability-rank fusion, and
-success-ratio evaluation, with a pluggable classifier backend.
+success-ratio evaluation. The only persistent artifact is the ensemble
+state file (`save_state` / `load_state`): classifiers and partition
+metadata, never training data.
 """
 
 from .core import (
@@ -28,9 +30,7 @@ from .sched import (
     ScheduleDecision,
     StrategyConfig,
     evolve_schedule,
-    feasible_extensions,
     next_schedule,
-    next_schedule_bruteforce,
     score,
     st3_fusion_filter,
     weight_vector,
@@ -50,15 +50,10 @@ from .placedef import (
 )
 from .classify import (
     ModelParams,
-    Prediction,
-    PrecomputedPredictions,
     TrainConfig,
     fine_tune,
     init_model,
-    load_precomputed,
     loss_and_gradient,
-    model_from_json,
-    model_to_json,
     models_equal,
     predict,
     train,
@@ -66,7 +61,6 @@ from .classify import (
 from .fusion import FusedResult, GlobalCandidate, fuse, fused_results, top_x
 from .missions import (
     MissionConfig,
-    VPCQuery,
     initial_state,
     load_state,
     queries_from_set,

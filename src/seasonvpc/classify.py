@@ -1,15 +1,12 @@
-"""Pluggable place-classifier backend.
+"""Place-classifier backend.
 
-The trainable backend is a small two-layer softmax network: a shared body
-(linear + ReLU) standing in for a transferred trunk, and a per-partition
-softmax head that is replaced whenever the class set changes. A second
-backend replays externally computed predictions from file.
+A small two-layer softmax network: a shared body (linear + ReLU) standing
+in for a transferred trunk, and a per-partition softmax head that is
+replaced whenever the class set changes.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,20 +64,6 @@ def models_equal(a: ModelParams, b: ModelParams) -> bool:
         and np.array_equal(a.w2, b.w2)
         and np.array_equal(a.b2, b.b2)
     )
-
-
-@dataclass(frozen=True, eq=False)
-class Prediction:
-    """A probability vector over one classifier's place classes."""
-
-    probs: np.ndarray
-
-    def __post_init__(self) -> None:
-        p = self.probs
-        if p.ndim != 1 or p.size == 0:
-            raise ValueError("probs must be a non-empty vector")
-        if np.any(p < 0) or abs(float(p.sum()) - 1.0) > 1e-6:
-            raise ValueError("probabilities must be non-negative and sum to 1")
 
 
 def _init_from_rng(f_dim: int, hidden: int, n_classes: int, rng: np.random.Generator,
@@ -224,100 +207,3 @@ def fine_tune(m: ModelParams, features: np.ndarray, labels: np.ndarray,
     )
     return _sgd(warm, x, y, cfg, rng)
 
-
-MODEL_FORMAT = "seasonvpc-model"
-MODEL_FORMAT_VERSION = 1
-
-
-def model_to_json(m: ModelParams) -> str:
-    """Versioned JSON container: dimensions, seed, parameter arrays."""
-    doc = {
-        "format": MODEL_FORMAT,
-        "version": MODEL_FORMAT_VERSION,
-        "feature_dim": m.feature_dim,
-        "hidden": m.hidden,
-        "n_classes": m.n_classes,
-        "seed": m.seed,
-        "final_loss": m.final_loss,
-        "w1": m.w1.tolist(),
-        "b1": m.b1.tolist(),
-        "w2": m.w2.tolist(),
-        "b2": m.b2.tolist(),
-    }
-    return json.dumps(doc)
-
-
-def model_from_json(text: str) -> ModelParams:
-    doc = json.loads(text)
-    if doc.get("format") != MODEL_FORMAT:
-        raise ValueError(f"not a model container: format {doc.get('format')!r}")
-    if doc.get("version") != MODEL_FORMAT_VERSION:
-        raise ValueError(f"unsupported model container version {doc.get('version')!r}")
-    m = ModelParams(
-        w1=np.asarray(doc["w1"], dtype=np.float64),
-        b1=np.asarray(doc["b1"], dtype=np.float64),
-        w2=np.asarray(doc["w2"], dtype=np.float64),
-        b2=np.asarray(doc["b2"], dtype=np.float64),
-        final_loss=doc.get("final_loss"),
-        seed=doc.get("seed"),
-    )
-    if (m.feature_dim, m.hidden, m.n_classes) != (
-        doc["feature_dim"], doc["hidden"], doc["n_classes"]
-    ):
-        raise ValueError("model container dimensions do not match its arrays")
-    return m
-
-
-@dataclass
-class PrecomputedPredictions:
-    """Replays externally computed class probabilities keyed by query id."""
-
-    table: dict[str, np.ndarray]
-    n_classes: int
-
-    def predict(self, query_id: str) -> Prediction:
-        if query_id not in self.table:
-            raise KeyError(f"no stored prediction for query {query_id!r}")
-        return Prediction(probs=self.table[query_id])
-
-
-def load_precomputed(path) -> PrecomputedPredictions:
-    """Load a `query_id,class_id,prob` CSV of stored classifier outputs.
-
-    Each query's probabilities must sum to 1 within 1e-3 (they are then
-    renormalized exactly); unmentioned classes get probability zero.
-    """
-    raw: dict[str, dict[int, float]] = {}
-    max_class = -1
-    with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or (lineno == 1 and row == ["query_id", "class_id", "prob"]):
-                continue
-            if len(row) != 3:
-                raise ValueError(f"{path}:{lineno}: expected query_id,class_id,prob")
-            qid = row[0].strip()
-            try:
-                cid = int(row[1])
-                prob = float(row[2])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: malformed row {row!r}") from exc
-            if cid < 0 or prob < 0:
-                raise ValueError(f"{path}:{lineno}: negative class id or probability")
-            per_query = raw.setdefault(qid, {})
-            if cid in per_query:
-                raise ValueError(f"{path}:{lineno}: duplicate class {cid} for query {qid!r}")
-            per_query[cid] = prob
-            max_class = max(max_class, cid)
-    if max_class < 0:
-        raise ValueError(f"{path}: no prediction rows")
-    n_classes = max_class + 1
-    table = {}
-    for qid, entries in raw.items():
-        vec = np.zeros(n_classes)
-        for cid, prob in entries.items():
-            vec[cid] = prob
-        total = float(vec.sum())
-        if abs(total - 1.0) > 1e-3:
-            raise ValueError(f"{path}: query {qid!r} probabilities sum to {total:.6f}")
-        table[qid] = vec / total
-    return PrecomputedPredictions(table=table, n_classes=n_classes)

@@ -46,7 +46,7 @@ def load_poses(path) -> list[tuple[int, Viewpoint]]:
     prev_ts = None
     try:
         lines = Path(path).read_text().splitlines()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad UTF-8, NUL in the path
         raise DataError(f"cannot read pose file {path}: {exc}") from exc
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
@@ -61,9 +61,11 @@ def load_poses(path) -> list[tuple[int, Viewpoint]]:
                 theta = float(cols[6])
             else:
                 raise ValueError(f"expected 4 or >=7 columns, got {len(cols)}")
-            if not all(math.isfinite(v) for v in (x, y, theta)):
+            if not all(math.isfinite(v) for v in (ts, x, y, theta)):
                 raise ValueError("non-finite pose component")
             ts_us = int(round(ts))
+            if not -2**63 <= ts_us < 2**63:  # stored as int64 in the state file
+                raise ValueError("timestamp outside the signed 64-bit range")
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: malformed pose row: {exc}") from exc
         if prev_ts is not None and ts_us <= prev_ts:
@@ -98,7 +100,7 @@ def load_features(path, f_dim: int | None = None) -> np.ndarray:
     """Load the binary f32 feature format (CSV fallback) as a (n, F) array."""
     try:
         blob = Path(path).read_bytes()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: NUL in the path
         raise DataError(f"cannot read feature file {path}: {exc}") from exc
     if blob[:4] == FEATURE_MAGIC:
         if len(blob) < FEATURE_HEADER.size:
@@ -106,6 +108,8 @@ def load_features(path, f_dim: int | None = None) -> np.ndarray:
         _, version, dim, count = FEATURE_HEADER.unpack_from(blob)
         if version != FEATURE_VERSION:
             raise DataError(f"{path}: unsupported feature file version {version}")
+        if dim < 1:
+            raise DataError(f"{path}: feature dimension must be >= 1")
         if f_dim is not None and dim != f_dim:
             raise DataError(f"{path}: header dimension {dim} != expected {f_dim}")
         payload = blob[FEATURE_HEADER.size:]
@@ -190,7 +194,7 @@ def load_manifest(path) -> tuple[int, list[DatasetBundle]]:
         doc = json.loads(path.read_text())
     except OSError as exc:
         raise DataError(f"cannot read manifest {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, bad or too deeply nested JSON
         raise DataError(f"{path}: invalid JSON: {exc}") from exc
     try:
         f_dim = int(doc["feature_dim"])
@@ -206,6 +210,10 @@ def load_manifest(path) -> tuple[int, list[DatasetBundle]]:
         ]
     except (KeyError, TypeError) as exc:
         raise DataError(f"{path}: manifest missing field: {exc}") from exc
+    except (ValueError, OverflowError) as exc:  # int() of "abc", NaN or infinity
+        raise DataError(f"{path}: malformed manifest field: {exc}") from exc
+    if f_dim < 1:
+        raise DataError(f"{path}: feature_dim must be >= 1, got {f_dim}")
     if not bundles:
         raise DataError(f"{path}: manifest lists no seasons")
     bundles.sort(key=lambda b: b.season_id)

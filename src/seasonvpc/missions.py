@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -18,6 +19,7 @@ from .core import (
     ClassifierRecord,
     ClassSummary,
     EnsembleState,
+    MappedImage,
     PartitionSummary,
     RetrainHistory,
     TrainingSet,
@@ -67,16 +69,10 @@ class MissionConfig:
             raise ValueError("success_mode must be rank1 or topx")
 
 
-@dataclass(frozen=True, eq=False)
-class VPCQuery:
-    """A global-localization query: feature vector plus ground-truth pose."""
-
-    feature: np.ndarray
-    ground_truth: Viewpoint
-
-
-def queries_from_set(test_set: TrainingSet) -> list[VPCQuery]:
-    return [VPCQuery(feature=img.feature, ground_truth=img.viewpoint) for img in test_set.images]
+def queries_from_set(test_set: TrainingSet) -> list[MappedImage]:
+    """A test season's images as global-localization queries: each carries
+    its feature vector and its mapped (ground-truth) viewpoint."""
+    return list(test_set.images)
 
 
 def initial_state(capacity: int) -> EnsembleState:
@@ -143,7 +139,7 @@ def active_slots(state: EnsembleState, strategy: StrategyConfig) -> list[int]:
     return trained
 
 
-def run_vpc(state: EnsembleState, queries: Sequence[VPCQuery],
+def run_vpc(state: EnsembleState, queries: Sequence[MappedImage],
             cfg: MissionConfig) -> list[FusedResult]:
     """Classify every query through the ensemble and fuse the ranked lists.
 
@@ -167,7 +163,7 @@ def run_vpc(state: EnsembleState, queries: Sequence[VPCQuery],
                          [rec.partition for rec in records])
 
 
-def success_ratio(results: Sequence[FusedResult], queries: Sequence[VPCQuery],
+def success_ratio(results: Sequence[FusedResult], queries: Sequence[MappedImage],
                   error: float, mode: str = "rank1") -> float:
     """Fraction of queries whose predicted place lies within `error` meters
     of ground truth (rank-1 candidate, or any candidate for mode "topx")."""
@@ -178,7 +174,7 @@ def success_ratio(results: Sequence[FusedResult], queries: Sequence[VPCQuery],
     hits = 0
     for res, q in zip(results, queries):
         cands = res.ranked[:1] if mode == "rank1" else res.ranked
-        if any(viewpoint_distance(c.location, q.ground_truth) < error for c in cands):
+        if any(viewpoint_distance(c.location, q.viewpoint) < error for c in cands):
             hits += 1
     return hits / len(results)
 
@@ -320,11 +316,26 @@ def _deserialize(blob: bytes) -> EnsembleState:
 
 
 def save_state(state: EnsembleState, path) -> None:
-    """Write the ensemble to a checksummed, versioned binary container."""
+    """Write the ensemble to a checksummed, versioned binary container.
+
+    The bytes go to a temporary file beside `path`, reach the disk (fsync),
+    and then replace `path` in one rename: a crash or a failed write leaves
+    the previous state file whole.
+    """
     payload = _serialize(state)
     header = _HEADER.pack(STATE_MAGIC, STATE_VERSION, len(payload),
                           hashlib.sha256(payload).digest())
-    Path(path).write_bytes(header + payload)
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(header + payload)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_state(path) -> EnsembleState:

@@ -8,7 +8,6 @@ from pathlib import Path
 from typing import Sequence
 
 from .core import PlacePartition, TrainingSet
-from .fusion import FusedResult
 from .sched import Schedule
 
 # One color per training season, cycling beyond four.
@@ -177,17 +176,6 @@ def partition_svg(train: TrainingSet, partition: PlacePartition,
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def fused_csv(results: Sequence[FusedResult]) -> str:
-    lines = ["query,rank,slot,class_id,prob,x,y,theta"]
-    for q, res in enumerate(results):
-        for rank, c in enumerate(res.ranked):
-            lines.append(
-                f"{q},{rank},{c.source_classifier},{c.class_id},{c.probability!r},"
-                f"{c.location.x!r},{c.location.y!r},{c.location.theta!r}"
-            )
-    return "\n".join(lines) + "\n"
 
 
 def margins_csv(rows: Sequence[dict]) -> str:

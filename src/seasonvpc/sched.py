@@ -5,13 +5,12 @@ capacity. Each mission every surviving slot either fine-tunes on the new
 season's data (bit 1) or sits out (bit 0), and while below capacity one
 fresh slot spawns from the base classifier, itself trained or idle. A
 strategy scores whole schedules; all three objectives decompose per slot,
-so a per-slot greedy argmax equals exhaustive enumeration (kept here as the
-brute-force oracle).
+so a per-slot greedy argmax equals exhaustive enumeration (the brute-force
+oracle in tests/sched_oracle.py checks this).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -20,9 +19,6 @@ import numpy as np
 from .core import RetrainHistory, ones_count
 
 STRATEGY_KINDS = ("ST1", "ST2", "ST3")
-
-# Enumeration guard for the brute-force oracle: 2^(slots+1) candidates.
-BRUTEFORCE_MAX_MISSION = 12
 
 
 @dataclass(frozen=True)
@@ -125,27 +121,6 @@ def score(strategy: StrategyConfig, schedule: Schedule, i: int) -> float:
     return sum(slot_score(strategy, h, i) for h in schedule.histories)
 
 
-def feasible_extensions(previous: Schedule, capacity: int) -> list[Schedule]:
-    """All schedules reachable from `previous` in one mission.
-
-    Every surviving slot appends a bit; below capacity one new slot spawns
-    from the base classifier (history all-zero so far) and appends a bit.
-    """
-    if capacity < 1:
-        raise ValueError("capacity must be >= 1")
-    i = previous.mission + 1
-    slots = list(previous.histories)
-    spawn = len(slots) < capacity
-    n_bits = len(slots) + (1 if spawn else 0)
-    out = []
-    for bits in itertools.product((0, 1), repeat=n_bits):
-        hs = [h.extended(b) for h, b in zip(slots, bits)]
-        if spawn:
-            hs.append(RetrainHistory((0,) * (i - 1)).extended(bits[-1]))
-        out.append(Schedule(tuple(hs)))
-    return out
-
-
 def _best_bit(strategy: StrategyConfig, history: RetrainHistory, i: int) -> int:
     s0 = slot_score(strategy, history.extended(0), i)
     s1 = slot_score(strategy, history.extended(1), i)
@@ -176,38 +151,13 @@ def next_schedule(strategy: StrategyConfig, previous: Schedule, i: int,
     )
 
 
-def next_schedule_bruteforce(strategy: StrategyConfig, previous: Schedule, i: int,
-                             capacity: int) -> ScheduleDecision:
-    """Exhaustive-enumeration oracle with the same contract as next_schedule."""
-    if i > BRUTEFORCE_MAX_MISSION:
-        raise ValueError(f"enumeration bound exceeded: mission {i} > {BRUTEFORCE_MAX_MISSION}")
-    if i != previous.mission + 1:
-        raise ValueError(f"mission {i} does not extend a schedule at {previous.mission}")
-    candidates = feasible_extensions(previous, capacity)
-    best = None
-    best_key = None
-    for cand in candidates:
-        concat = tuple(b for h in cand.histories for b in h.bits)
-        key = (-score(strategy, cand, i), concat)
-        if best_key is None or key < best_key:
-            best, best_key = cand, key
-    spawned = len(previous.histories) if len(previous.histories) < capacity else None
-    return ScheduleDecision(
-        schedule=best,
-        retrain_mask=tuple(h.last_bit() for h in best.histories),
-        spawned_slot=spawned,
-    )
-
-
-def evolve_schedule(strategy: StrategyConfig, n_missions: int, capacity: int,
-                    bruteforce: bool = False) -> Schedule:
+def evolve_schedule(strategy: StrategyConfig, n_missions: int, capacity: int) -> Schedule:
     """Run the scheduler from scratch for n_missions and return the final grid."""
     if n_missions < 1:
         raise ValueError("n_missions must be >= 1")
-    step = next_schedule_bruteforce if bruteforce else next_schedule
     schedule = Schedule(())
     for i in range(1, n_missions + 1):
-        schedule = step(strategy, schedule, i, capacity).schedule
+        schedule = next_schedule(strategy, schedule, i, capacity).schedule
     return schedule
 
 

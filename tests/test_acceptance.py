@@ -13,6 +13,8 @@ import seasonvpc as vpc
 from seasonvpc.cli import main as cli_main
 from seasonvpc.sched import slot_score
 
+from sched_oracle import next_schedule_bruteforce
+
 # Frozen synthetic benchmark for the directional criteria: within-season
 # accuracy of a single classifier sits near 0.9 at this noise level, and the
 # error threshold equals one place spacing (400 m loop / 20 places = 20 m).
@@ -49,7 +51,7 @@ def test_criterion_1_schedule_oracle_equivalence():
                     prev = vpc.next_schedule(strat, prev, i, capacity).schedule
                     continue
                 greedy = vpc.next_schedule(strat, prev, i, capacity)
-                brute = vpc.next_schedule_bruteforce(strat, prev, i, capacity)
+                brute = next_schedule_bruteforce(strat, prev, i, capacity)
                 if greedy.schedule != brute.schedule:
                     failures.append((strat.label(), capacity, i,
                                      greedy.schedule.bit_strings(),

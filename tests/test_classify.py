@@ -7,10 +7,7 @@ from seasonvpc import (
     TrainConfig,
     fine_tune,
     init_model,
-    load_precomputed,
     loss_and_gradient,
-    model_from_json,
-    model_to_json,
     models_equal,
     predict,
     train,
@@ -210,56 +207,3 @@ def test_fine_tune_warm_start_beats_scratch_on_most_seeds():
         warm = fine_tune(scratch, x, y, 4, cfg)
         wins += warm.final_loss <= scratch.final_loss
     assert wins >= 8
-
-
-def test_model_json_roundtrip():
-    rng = np.random.default_rng(8)
-    x, y = _blobs(rng)
-    m = train(x, y, 3, TrainConfig(epochs=5, seed=13))
-    restored = model_from_json(model_to_json(m))
-    assert models_equal(m, restored)
-    assert restored.final_loss == m.final_loss
-    assert restored.seed == 13
-
-
-def test_model_json_rejects_wrong_container():
-    with pytest.raises(ValueError):
-        model_from_json('{"format": "something-else", "version": 1}')
-    m = init_model(3, 2, 2, seed=0)
-    doc = model_to_json(m).replace('"version": 1', '"version": 99')
-    with pytest.raises(ValueError):
-        model_from_json(doc)
-
-
-def test_load_precomputed_replay(tmp_path):
-    path = tmp_path / "preds.csv"
-    path.write_text(
-        "query_id,class_id,prob\n"
-        "q7,2,0.6\nq7,0,0.3\nq7,1,0.1\n"
-        "q8,0,1.0\n"
-    )
-    backend = load_precomputed(path)
-    np.testing.assert_allclose(backend.predict("q7").probs, [0.3, 0.1, 0.6])
-    np.testing.assert_allclose(backend.predict("q8").probs, [1.0, 0.0, 0.0])
-    with pytest.raises(KeyError):
-        backend.predict("q9")
-
-
-def test_load_precomputed_rejects_unnormalized(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("q1,0,0.3\nq1,1,0.2\n")
-    with pytest.raises(ValueError):
-        load_precomputed(path)
-
-
-def test_load_precomputed_rejects_malformed(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("q1,0\n")
-    with pytest.raises(ValueError):
-        load_precomputed(path)
-    path.write_text("q1,0,abc\n")
-    with pytest.raises(ValueError):
-        load_precomputed(path)
-    path.write_text("q1,0,0.5\nq1,0,0.5\n")
-    with pytest.raises(ValueError):
-        load_precomputed(path)

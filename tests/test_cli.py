@@ -151,26 +151,51 @@ def test_no_command_prints_help(capsys):
     assert "seasonvpc" in capsys.readouterr().out
 
 
-def test_run_nan_feature_in_manifest_is_data_error(tmp_path, capsys, caplog):
-    from seasonvpc import Viewpoint, write_features, write_poses
+def _run_two_season_manifest(tmp_path, *, manifest_dim=3, file_dim=3, season_2_id=2,
+                             first_timestamp="0", nan_feature=False):
+    """`seasonvpc run` for one mission over a two-season manifest of four
+    images each, with one field of the input replaced; returns the exit code."""
+    from seasonvpc import write_features
     seasons = []
     for sid in (1, 2):
-        write_poses(tmp_path / f"p{sid}.csv",
-                    [(t * 1_000_000, Viewpoint(3.0 * t, 0.0)) for t in range(4)])
-        feats = np.ones((4, 3))
-        if sid == 2:
+        rows = [f"{t * 1_000_000},{3.0 * t!r},0.0,0.0" for t in range(4)]
+        if sid == 1:
+            rows[0] = first_timestamp + rows[0][rows[0].index(","):]
+        (tmp_path / f"p{sid}.csv").write_text("\n".join(rows) + "\n")
+        feats = np.ones((4, file_dim))
+        if nan_feature and sid == 2:
             feats[2, 1] = np.nan
         write_features(tmp_path / f"f{sid}.bin", feats)
         seasons.append({"poses": f"p{sid}.csv", "features": f"f{sid}.bin",
-                        "label": str(sid), "season_id": sid})
+                        "label": str(sid), "season_id": season_2_id if sid == 2 else sid})
     manifest = tmp_path / "manifest.json"
-    manifest.write_text(json.dumps({"feature_dim": 3, "seasons": seasons}))
+    manifest.write_text(json.dumps({"feature_dim": manifest_dim, "seasons": seasons}))
     spec = _spec_file(tmp_path, manifest=str(manifest), missions=1)
     doc = json.loads(spec.read_text())
     del doc["synth"]
     spec.write_text(json.dumps(doc))
-    code = main(["run", "--spec", str(spec), "--out", str(tmp_path / "out")])
-    assert code == 2
+    return main(["run", "--spec", str(spec), "--out", str(tmp_path / "out")])
+
+
+def test_run_nan_feature_in_manifest_is_data_error(tmp_path, capsys, caplog):
+    assert _run_two_season_manifest(tmp_path, nan_feature=True) == 2
     err = capsys.readouterr().err
     assert "data error" in err and "non-finite feature" in err
+    assert "Traceback" not in err + caplog.text
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(manifest_dim="abc"), "malformed manifest field"),
+    (dict(season_2_id="x"), "malformed manifest field"),
+    (dict(first_timestamp="inf"), "non-finite pose component"),
+    (dict(first_timestamp="1e400"), "non-finite pose component"),
+    (dict(first_timestamp="-1e19"), "64-bit range"),
+    (dict(manifest_dim=0, file_dim=0), "feature_dim must be >= 1"),
+], ids=["feature_dim_abc", "season_id_x", "timestamp_inf", "timestamp_1e400",
+        "timestamp_past_int64", "feature_dim_0"])
+def test_run_malformed_manifest_or_poses_is_data_error(tmp_path, capsys, caplog,
+                                                       fields, message):
+    assert _run_two_season_manifest(tmp_path, **fields) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and message in err
     assert "Traceback" not in err + caplog.text

@@ -58,6 +58,29 @@ def test_load_poses_rejects_malformed(tmp_path):
         load_poses(p)
 
 
+def test_non_utf8_text_inputs_are_data_errors(tmp_path):
+    p = tmp_path / "latin1.txt"
+    p.write_bytes(b"0,0,0,0\n# caf\xe9\n")
+    with pytest.raises(DataError):
+        load_poses(p)
+    with pytest.raises(DataError):
+        load_manifest(p)
+
+
+def test_manifest_nested_too_deep_is_data_error(tmp_path):
+    p = tmp_path / "manifest.json"
+    p.write_text("[" * 100_000)  # json raises RecursionError, not JSONDecodeError
+    with pytest.raises(DataError, match="invalid JSON"):
+        load_manifest(p)
+
+
+def test_nul_byte_in_path_is_data_error(tmp_path):
+    with pytest.raises(DataError):
+        load_poses(tmp_path / "p\0.csv")
+    with pytest.raises(DataError):
+        load_features(tmp_path / "f\0.bin")
+
+
 def test_poses_roundtrip(tmp_path):
     from seasonvpc import Viewpoint
     rng = np.random.default_rng(0)
@@ -107,6 +130,13 @@ def test_features_header_mismatch(tmp_path):
     path.write_bytes(struct.pack("<4sIII", b"FVEC", 9, 4, 0))
     with pytest.raises(DataError):
         load_features(path, 4)
+
+
+def test_features_zero_dimension_rejected(tmp_path):
+    p = tmp_path / "f.bin"
+    write_features(p, np.zeros((3, 0)))
+    with pytest.raises(DataError, match="dimension"):
+        load_features(p)
 
 
 def test_features_csv_fallback(tmp_path):

@@ -130,15 +130,6 @@ def test_fuse_properties_on_random_ensembles():
         assert all(a >= b for a, b in zip(probs, probs[1:]))
 
 
-def test_fused_csv_schema():
-    from seasonvpc.report import fused_csv
-    fused = fuse([[_cand(0, 0, 0.9, x=1.5)], [_cand(1, 1, 0.8, x=2.5)]], 2)
-    lines = fused_csv([fused]).splitlines()
-    assert lines[0] == "query,rank,slot,class_id,prob,x,y,theta"
-    assert lines[1].startswith("0,0,0,0,0.9,1.5,")
-    assert lines[2].startswith("0,1,1,1,0.8,2.5,")
-
-
 def test_fuse_invariant_under_input_order():
     rng = np.random.default_rng(1)
     for _ in range(50):

@@ -1,4 +1,6 @@
+import errno
 import hashlib
+import io
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from seasonvpc import (
     success_ratio,
     synth_generate,
 )
+from seasonvpc import missions
 from seasonvpc.missions import StateFormatError
 
 
@@ -278,6 +281,28 @@ def test_state_crafted_model_dimensions_are_format_error(tmp_path):
     _rewrite_payload(path, 29, b"\x00" * 4)
     with pytest.raises(StateFormatError):
         load_state(path)
+
+
+class _DiskFull(io.BufferedWriter):
+    """A file that stores half of what it is given, then fails."""
+
+    def write(self, data):
+        super().write(bytes(data)[:len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_save_state_failing_write_keeps_previous_state(tmp_path, monkeypatch):
+    path = tmp_path / "state.svpc"
+    previous = _four_mission_state()
+    save_state(previous, path)
+    before = path.read_bytes()
+    monkeypatch.setattr(missions, "open", lambda file, mode: _DiskFull(io.FileIO(file, mode)),
+                        raising=False)
+    with pytest.raises(OSError):
+        save_state(_four_mission_state(seed=1), path)
+    assert path.read_bytes() == before
+    assert states_equal(load_state(path), previous)
+    assert [p.name for p in tmp_path.iterdir()] == ["state.svpc"]
 
 
 def test_capacity_bounded_so_slot_seeds_stay_distinct():

@@ -8,15 +8,15 @@ from seasonvpc import (
     Schedule,
     StrategyConfig,
     evolve_schedule,
-    feasible_extensions,
     next_schedule,
-    next_schedule_bruteforce,
     ones_count,
     score,
     st3_fusion_filter,
     weight_vector,
 )
 from seasonvpc.sched import slot_score
+
+from sched_oracle import feasible_extensions, next_schedule_bruteforce
 
 ST1 = StrategyConfig("ST1")
 

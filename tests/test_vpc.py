@@ -8,11 +8,11 @@ from seasonvpc import (
     ClassifierRecord,
     ClassSummary,
     EnsembleState,
+    MappedImage,
     MissionConfig,
     PartitionSummary,
     RetrainHistory,
     StrategyConfig,
-    VPCQuery,
     Viewpoint,
     init_model,
     run_vpc,
@@ -62,8 +62,9 @@ def _random_state(rng, f_dim):
 
 
 def _queries(rng, n, f_dim):
-    return [VPCQuery(feature=rng.normal(size=f_dim), ground_truth=Viewpoint(0.0, 0.0))
-            for _ in range(n)]
+    return [MappedImage(id=i, timestamp=i, viewpoint=Viewpoint(0.0, 0.0),
+                        feature=rng.normal(size=f_dim))
+            for i in range(n)]
 
 
 def _key(result):

@@ -7,6 +7,7 @@ replaced whenever the class set changes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,8 @@ class TrainConfig:
             raise ValueError("learning_rate, batch_size and hidden must be positive")
         if self.epochs < 0 or self.weight_scale < 0:
             raise ValueError("epochs and weight_scale must be non-negative")
+        if not (math.isfinite(self.learning_rate) and math.isfinite(self.weight_scale)):
+            raise ValueError("learning_rate and weight_scale must be finite")
 
 
 @dataclass(eq=False)

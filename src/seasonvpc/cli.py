@@ -152,9 +152,9 @@ def _load_seasons(spec: ExperimentSpec) -> list[TrainingSet]:
         f_dim, bundles = load_manifest(spec.manifest)
         seasons = [load_bundle(b, f_dim) for b in bundles]
         if len(seasons) < 2:
-            raise UsageError("cross-season runs need at least two seasons")
+            raise DataError(f"{spec.manifest}: cross-season runs need at least two seasons")
         if [t.season_id for t in seasons] != list(range(1, len(seasons) + 1)):
-            raise UsageError("manifest season_ids must be contiguous starting at 1")
+            raise DataError(f"{spec.manifest}: season_ids must be contiguous starting at 1")
         return seasons
     synth = spec.synth if spec.synth is not None else SynthConfig()
     synth = replace(synth, n_seasons=spec.missions + 1, seed=spec.seed)
@@ -278,7 +278,7 @@ def cmd_placedef(args: argparse.Namespace) -> None:
     if cfg.method == "incremental":
         rows = incremental_margins(train, partition)
         report.write_text(out_dir / "insertions.csv", report.margins_csv(rows))
-    print(f"{len(partition.classes)} place classes over {len(train.images)} images "
+    print(f"{len(partition.classes)} place classes over {len(train)} images "
           f"({cfg.method}) -> {out_dir}")
 
 

@@ -1,15 +1,18 @@
 """Shared domain types for the season-loop place classification pipeline.
 
-Geometry is planar (x, y, heading); headings live in (-pi, pi]. Feature
-vectors are numpy arrays whose dimension is fixed per dataset. All types are
-immutable after construction and safe to share across concurrent readers.
+Geometry is planar (x, y, heading); headings live in (-pi, pi]. A season is
+columnar: one array each for timestamps, poses and features, row i being
+image i. A place class holds the row indices of its members. All types are
+immutable after construction (season arrays are read-only) and safe to share
+across concurrent readers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from collections.abc import Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -25,13 +28,6 @@ def normalize_angle(theta: float) -> float:
     if t <= -math.pi:
         t += TAU
     return t
-
-
-def circular_mean(angles: Iterable[float]) -> float:
-    """Mean direction of a set of angles, wrapped into (-pi, pi]."""
-    s = sum(math.sin(a) for a in angles)
-    c = sum(math.cos(a) for a in angles)
-    return normalize_angle(math.atan2(s, c))
 
 
 @dataclass(frozen=True)
@@ -62,7 +58,8 @@ def angle_difference(a: float, b: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class MappedImage:
-    """One collected image: sequence id, capture time (us), pose, feature."""
+    """One image of a season as a row: the query type of `run_vpc` and
+    `success_ratio`."""
 
     id: int
     timestamp: int
@@ -70,44 +67,88 @@ class MappedImage:
     feature: np.ndarray
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class TrainingSet:
-    """One season's ordered sequence of mapped images."""
+    """One season as columns: timestamps (N,) int64 microseconds, strictly
+    increasing; poses (N, 3) float64 x, y, heading; features (N, F).
+
+    The arrays are read-only copies of the inputs, headings normalized.
+    """
 
     season_id: int
     label: str
-    images: tuple[MappedImage, ...]
+    timestamps: np.ndarray
+    poses: np.ndarray
+    features: np.ndarray
 
     def __post_init__(self) -> None:
         if self.season_id < 1:
             raise ValueError("season_id must be >= 1")
-        if not self.images:
+        ts = np.array(self.timestamps, dtype=np.int64)
+        poses = np.array(self.poses, dtype=np.float64)
+        feats = np.array(self.features)
+        if ts.ndim != 1 or ts.size == 0:
             raise ValueError("training set has no images")
-        dim = self.images[0].feature.shape
-        prev_ts = None
-        for idx, img in enumerate(self.images):
-            if img.id != idx:
-                raise ValueError(f"image id {img.id} != sequence index {idx}")
-            if img.feature.ndim != 1 or img.feature.shape != dim:
-                raise ValueError("feature dimension differs within one dataset")
-            if not np.all(np.isfinite(img.feature)):
-                raise ValueError(f"non-finite feature at index {idx}")
-            if prev_ts is not None and img.timestamp <= prev_ts:
-                raise ValueError("timestamps must be strictly increasing")
-            prev_ts = img.timestamp
+        n = len(ts)
+        if poses.shape != (n, 3):
+            raise ValueError(f"poses must be an ({n}, 3) array, got {poses.shape}")
+        if feats.ndim != 2 or len(feats) != n:
+            raise ValueError("feature dimension differs within one dataset")
+        if not np.all(np.isfinite(poses)):
+            raise ValueError("viewpoint components must be finite")
+        bad = ~np.isfinite(feats).all(axis=1)
+        if bad.any():
+            raise ValueError(f"non-finite feature at index {int(np.argmax(bad))}")
+        if np.any(np.diff(ts) <= 0):
+            raise ValueError("timestamps must be strictly increasing")
+        poses[:, 2] = [normalize_angle(t) for t in poses[:, 2].tolist()]
+        object.__setattr__(self, "timestamps", _read_only(ts))
+        object.__setattr__(self, "poses", _read_only(poses))
+        object.__setattr__(self, "features", _read_only(feats))
+
+    def __len__(self) -> int:
+        return len(self.timestamps)
 
     @property
-    def feature_dim(self) -> int:
-        return int(self.images[0].feature.shape[0])
+    def images(self) -> "SeasonRows":
+        """The season as per-image rows."""
+        return SeasonRows(self)
 
 
-def path_length(images: Sequence[MappedImage], start: int, end: int) -> float:
-    """Travel distance along the image sequence from index start to end (inclusive)."""
-    if start < 0 or end >= len(images) or start > end:
-        raise ValueError(f"invalid range [{start}, {end}] for {len(images)} images")
+@dataclass(frozen=True)
+class SeasonRows(Sequence):
+    """A season's images as `MappedImage` rows, each built when it is read.
+    `len()` builds none and no row is kept: building every row for a length
+    query slowed the next `run_vpc` (garbage-collector work), and keeping
+    them raised peak RSS."""
+
+    season: TrainingSet
+
+    def __len__(self) -> int:
+        return len(self.season)
+
+    def __getitem__(self, i):
+        i = range(len(self.season))[i]  # negative indices, slices, IndexError
+        if isinstance(i, range):
+            return [self[j] for j in i]
+        s = self.season
+        return MappedImage(id=i, timestamp=int(s.timestamps[i]),
+                           viewpoint=Viewpoint(*s.poses[i].tolist()), feature=s.features[i])
+
+
+def path_length(train: TrainingSet, start: int, end: int) -> float:
+    """Travel distance along the season from image start to end (inclusive)."""
+    if start < 0 or end >= len(train) or start > end:
+        raise ValueError(f"invalid range [{start}, {end}] for {len(train)} images")
+    xy = train.poses[start:end + 1, :2].tolist()
     total = 0.0
-    for i in range(start, end):
-        total += viewpoint_distance(images[i].viewpoint, images[i + 1].viewpoint)
+    for (x0, y0), (x1, y1) in zip(xy, xy[1:]):
+        total += math.hypot(x0 - x1, y0 - y1)
     return total
 
 
@@ -146,31 +187,19 @@ def ones_count(history: "RetrainHistory | Sequence[int]") -> int:
 
 @dataclass(frozen=True, eq=False)
 class PlaceClass:
-    """A place class: keyframe, member images, and a representative pose."""
+    """A place class: the ascending row indices of its member images. The
+    first member is the keyframe."""
 
     class_id: int
-    keyframe: MappedImage
-    members: tuple[MappedImage, ...]
-    representative: Viewpoint
+    members: np.ndarray
 
-
-def make_place_class(class_id: int, members: Sequence[MappedImage],
-                     keyframe: MappedImage | None = None) -> PlaceClass:
-    """Build a place class; the representative pose is the member centroid
-    with a circular-mean heading."""
-    if not members:
-        raise ValueError("place class needs at least one member")
-    kf = members[0] if keyframe is None else keyframe
-    if not any(kf is m for m in members):
-        raise ValueError("keyframe must be one of the members")
-    xs = [m.viewpoint.x for m in members]
-    ys = [m.viewpoint.y for m in members]
-    rep = Viewpoint(
-        sum(xs) / len(xs),
-        sum(ys) / len(ys),
-        circular_mean(m.viewpoint.theta for m in members),
-    )
-    return PlaceClass(class_id=class_id, keyframe=kf, members=tuple(members), representative=rep)
+    def __post_init__(self) -> None:
+        members = np.array(self.members, dtype=np.int64)
+        if members.ndim != 1 or len(members) == 0:
+            raise ValueError("place class needs at least one member")
+        if np.any(np.diff(members) <= 0):
+            raise ValueError("place class members must be ascending")
+        object.__setattr__(self, "members", _read_only(members))
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,22 +215,30 @@ class PlacePartition:
             if cls.class_id != idx:
                 raise ValueError("class ids must be dense 0..K-1 in order")
 
-    def summary(self) -> "PartitionSummary":
-        return PartitionSummary(
-            classes=tuple(
-                ClassSummary(
-                    class_id=c.class_id,
-                    keyframe_id=c.keyframe.id,
-                    keyframe_timestamp=c.keyframe.timestamp,
-                    keyframe_viewpoint=c.keyframe.viewpoint,
-                    representative=c.representative,
-                    size=len(c.members),
-                )
-                for c in self.classes
-            ),
-            source_season=self.source_season,
-            method=self.method,
-        )
+    def summary(self, train: TrainingSet) -> "PartitionSummary":
+        """Per class: the keyframe's id, timestamp and pose, the member count,
+        and the representative pose (member centroid; heading noted below)."""
+        if train.season_id != self.source_season:
+            raise ValueError(f"partition of season {self.source_season} "
+                             f"summarized with season {train.season_id}")
+        classes = []
+        for c in self.classes:
+            xs, ys, thetas = train.poses[c.members].T.tolist()
+            kf = int(c.members[0])
+            # The heading the state files hold: atan2(sum of sines, 0), so
+            # +-pi/2 or 0, not the circular mean atan2(sum of sines, sum of
+            # cosines); changing it changes their bytes.
+            heading = normalize_angle(math.atan2(sum(math.sin(t) for t in thetas), 0))
+            classes.append(ClassSummary(
+                class_id=c.class_id,
+                keyframe_id=kf,
+                keyframe_timestamp=int(train.timestamps[kf]),
+                keyframe_viewpoint=Viewpoint(xs[0], ys[0], thetas[0]),
+                representative=Viewpoint(sum(xs) / len(xs), sum(ys) / len(ys), heading),
+                size=len(xs),
+            ))
+        return PartitionSummary(classes=tuple(classes), source_season=self.source_season,
+                                method=self.method)
 
 
 @dataclass(frozen=True)
@@ -220,9 +257,10 @@ class ClassSummary:
 class PartitionSummary:
     """Feature-free partition metadata retained inside classifier records.
 
-    Full PlacePartition objects hold member images (with feature vectors) and
-    exist only while a season is being processed; only this summary survives
-    into the persistent ensemble state.
+    A PlacePartition holds member row indices into its season, and both exist
+    only while that season is being processed; only this summary, built by
+    `PlacePartition.summary(season)`, survives into the persistent ensemble
+    state.
     """
 
     classes: tuple[ClassSummary, ...]
@@ -233,17 +271,18 @@ class PartitionSummary:
 def membership_labels(partition: PlacePartition, n_images: int) -> np.ndarray:
     """Per-image class label array; raises if any image is missing or doubly
     assigned."""
-    labels = np.full(n_images, -1, dtype=np.int64)
-    for cls in partition.classes:
-        for m in cls.members:
-            if m.id < 0 or m.id >= n_images:
-                raise ValueError(f"member id {m.id} outside dataset of {n_images}")
-            if labels[m.id] != -1:
-                raise ValueError(f"image {m.id} assigned to more than one class")
-            labels[m.id] = cls.class_id
-    if np.any(labels < 0):
-        missing = int(np.argmax(labels < 0))
-        raise ValueError(f"image {missing} not assigned to any class")
+    members = [c.members for c in partition.classes]
+    ids = np.concatenate(members) if members else np.zeros(0, dtype=np.int64)
+    outside = (ids < 0) | (ids >= n_images)
+    if outside.any():
+        raise ValueError(f"member id {ids[outside][0]} outside dataset of {n_images}")
+    counts = np.bincount(ids, minlength=n_images)
+    if np.any(counts > 1):
+        raise ValueError(f"image {int(np.argmax(counts > 1))} assigned to more than one class")
+    if np.any(counts == 0):
+        raise ValueError(f"image {int(np.argmax(counts == 0))} not assigned to any class")
+    labels = np.empty(n_images, dtype=np.int64)
+    labels[ids] = np.repeat(np.arange(len(members)), [len(m) for m in members])
     return labels
 
 

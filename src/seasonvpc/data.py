@@ -6,19 +6,16 @@ from __future__ import annotations
 import json
 import math
 import struct
-from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .core import MappedImage, TrainingSet, Viewpoint
+from .core import TrainingSet, Viewpoint
 
 FEATURE_MAGIC = b"FVEC"
 FEATURE_VERSION = 1
 FEATURE_HEADER = struct.Struct("<4sIII")  # magic, version, dim, count
-
-LOOSE_WINDOW_S = 0.5
 
 
 class DataError(Exception):
@@ -35,15 +32,16 @@ class DatasetBundle:
     season_id: int
 
 
-def load_poses(path) -> list[tuple[int, Viewpoint]]:
-    """Parse a pose CSV into (timestamp_us, viewpoint) pairs.
+def load_poses(path) -> tuple[np.ndarray, np.ndarray]:
+    """Parse a pose CSV into its columns: timestamps (N,) int64 microseconds
+    and poses (N, 3) float64 x, y, theta.
 
     Accepts `timestamp,x,y,theta` rows or NCLT-style ground truth
     (`utime,x,y,z,roll,pitch,yaw`, yaw used as theta). Timestamps must be
-    strictly increasing; headings are normalized.
+    strictly increasing; headings are normalized when a TrainingSet is built.
     """
-    out: list[tuple[int, Viewpoint]] = []
-    prev_ts = None
+    times: list[int] = []
+    poses: list[tuple[float, float, float]] = []
     try:
         lines = Path(path).read_text().splitlines()
     except (OSError, ValueError) as exc:  # ValueError: bad UTF-8, NUL in the path
@@ -68,17 +66,19 @@ def load_poses(path) -> list[tuple[int, Viewpoint]]:
                 raise ValueError("timestamp outside the signed 64-bit range")
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: malformed pose row: {exc}") from exc
-        if prev_ts is not None and ts_us <= prev_ts:
+        if times and ts_us <= times[-1]:
             raise DataError(f"{path}:{lineno}: non-monotone timestamp {ts_us}")
-        prev_ts = ts_us
-        out.append((ts_us, Viewpoint(x, y, theta)))
-    if not out:
+        times.append(ts_us)
+        poses.append((x, y, theta))
+    if not times:
         raise DataError(f"{path}: no pose rows")
-    return out
+    return np.array(times, dtype=np.int64), np.array(poses, dtype=np.float64)
 
 
-def write_poses(path, poses: list[tuple[int, Viewpoint]]) -> None:
-    lines = [f"{ts},{vp.x!r},{vp.y!r},{vp.theta!r}" for ts, vp in poses]
+def write_poses(path, timestamps: np.ndarray, poses: np.ndarray) -> None:
+    lines = [f"{ts},{x!r},{y!r},{theta!r}"
+             for ts, (x, y, theta) in zip(np.asarray(timestamps).tolist(),
+                                          np.asarray(poses, dtype=np.float64).tolist())]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -118,7 +118,7 @@ def load_features(path, f_dim: int | None = None) -> np.ndarray:
             raise DataError(f"{path}: payload is {len(payload)} bytes, expected {expected}")
         return np.frombuffer(payload, dtype="<f4").reshape(count, dim).copy()
     # CSV fallback: one comma-separated row per feature vector.
-    rows = []
+    rows, linenos = [], []
     for lineno, line in enumerate(blob.decode("utf-8", errors="replace").splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -132,54 +132,29 @@ def load_features(path, f_dim: int | None = None) -> np.ndarray:
         if rows and len(vec) != len(rows[0]):
             raise DataError(f"{path}:{lineno}: inconsistent row length")
         rows.append(vec)
+        linenos.append(lineno)
     if not rows:
         raise DataError(f"{path}: no feature rows")
-    return np.asarray(rows, dtype=np.float32)
+    wide = np.asarray(rows, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        feats = wide.astype(np.float32)
+    overflow = np.isinf(feats) & np.isfinite(wide)
+    if overflow.any():
+        row, col = np.argwhere(overflow)[0]
+        raise DataError(f"{path}:{linenos[row]}: value {rows[row][col]!r} is outside the "
+                        f"float32 range +-{float(np.finfo(np.float32).max)!r}")
+    return feats
 
 
-def associate(poses: list[tuple[int, Viewpoint]], features: np.ndarray, *,
-              season_id: int = 1, label: str = "", mode: str = "strict",
-              feature_times: list[int] | None = None,
-              window: float = LOOSE_WINDOW_S) -> TrainingSet:
-    """Join poses and features into a TrainingSet.
-
-    Strict mode pairs positionally and requires equal counts; loose mode
-    matches each feature to the nearest pose timestamp within `window`
-    seconds (feature_times required, microseconds).
-    """
-    feats = np.asarray(features)
-    if mode == "strict":
-        if len(poses) != len(feats):
-            raise DataError(f"count mismatch: {len(poses)} poses vs {len(feats)} features")
-        pairs = list(zip(poses, feats))
-    elif mode == "loose":
-        if feature_times is None or len(feature_times) != len(feats):
-            raise DataError("loose mode needs one timestamp per feature")
-        window_us = int(window * 1e6)
-        pose_times = [ts for ts, _ in poses]
-        pairs = []
-        prev_idx = -1
-        for ft, vec in zip(feature_times, feats):
-            pos = bisect_left(pose_times, ft)
-            best = None
-            for cand in (pos - 1, pos):
-                if 0 <= cand < len(pose_times):
-                    if best is None or abs(pose_times[cand] - ft) < abs(pose_times[best] - ft):
-                        best = cand
-            if best is None or abs(pose_times[best] - ft) > window_us:
-                raise DataError(f"unmatched feature at t={ft} (window {window} s)")
-            if best <= prev_idx:
-                raise DataError(f"ambiguous association near t={ft}: pose reused")
-            prev_idx = best
-            pairs.append((poses[best], vec))
-    else:
-        raise ValueError(f"unknown association mode {mode!r}")
-    images = tuple(
-        MappedImage(id=i, timestamp=ts, viewpoint=vp, feature=np.asarray(vec))
-        for i, ((ts, vp), vec) in enumerate(pairs)
-    )
+def associate(timestamps: np.ndarray, poses: np.ndarray, features: np.ndarray, *,
+              season_id: int = 1, label: str = "") -> TrainingSet:
+    """Join pose and feature rows positionally into a TrainingSet; the
+    counts must be equal."""
+    if len(timestamps) != len(features):
+        raise DataError(f"count mismatch: {len(timestamps)} poses vs {len(features)} features")
     try:
-        return TrainingSet(season_id=season_id, label=label, images=images)
+        return TrainingSet(season_id=season_id, label=label, timestamps=timestamps,
+                           poses=poses, features=features)
     except ValueError as exc:
         raise DataError(f"season {season_id}: {exc}") from exc
 
@@ -221,9 +196,9 @@ def load_manifest(path) -> tuple[int, list[DatasetBundle]]:
 
 
 def load_bundle(bundle: DatasetBundle, f_dim: int | None = None) -> TrainingSet:
-    poses = load_poses(bundle.poses_path)
+    timestamps, poses = load_poses(bundle.poses_path)
     feats = load_features(bundle.features_path, f_dim)
-    return associate(poses, feats, season_id=bundle.season_id, label=bundle.label)
+    return associate(timestamps, poses, feats, season_id=bundle.season_id, label=bundle.label)
 
 
 @dataclass(frozen=True)
@@ -247,8 +222,11 @@ class SynthConfig:
             raise ValueError("counts must be >= 1")
         if self.loop_length <= 0:
             raise ValueError("loop_length must be positive")
-        if min(self.place_signal, self.season_drift, self.noise, self.pose_jitter) < 0:
+        magnitudes = (self.place_signal, self.season_drift, self.noise, self.pose_jitter)
+        if min(magnitudes) < 0:
             raise ValueError("magnitudes must be non-negative")
+        if not all(map(math.isfinite, (self.loop_length, *magnitudes))):
+            raise ValueError("loop_length and magnitudes must be finite")
 
     @property
     def place_spacing(self) -> float:
@@ -288,33 +266,28 @@ def synth_generate(cfg: SynthConfig) -> list[TrainingSet]:
     place_vecs = _unit_vectors(master, cfg.n_places, cfg.feature_dim)
     season_vecs = _unit_vectors(master, cfg.n_seasons, cfg.feature_dim)
     waypoints = _loop_waypoints(cfg)
+    n = len(waypoints) * cfg.images_per_place
+    place = np.repeat(np.arange(len(waypoints)), cfg.images_per_place)
     seasons = []
     for s in range(cfg.n_seasons):
         rng = np.random.default_rng((cfg.seed, 7919, s))
-        images = []
-        idx = 0
-        for p, wp in enumerate(waypoints):
-            for _ in range(cfg.images_per_place):
-                if cfg.pose_jitter > 0:
-                    dx, dy = rng.normal(0.0, cfg.pose_jitter, size=2)
-                    dth = rng.normal(0.0, 0.1 * cfg.pose_jitter)
-                else:
-                    dx = dy = dth = 0.0
-                feat = (
-                    cfg.place_signal * place_vecs[p]
-                    + cfg.season_drift * season_vecs[s]
-                    + cfg.noise * rng.standard_normal(cfg.feature_dim)
-                )
-                images.append(
-                    MappedImage(
-                        id=idx,
-                        timestamp=idx * 1_000_000,
-                        viewpoint=Viewpoint(wp.x + dx, wp.y + dy, wp.theta + dth),
-                        feature=feat.astype(np.float32),
-                    )
-                )
-                idx += 1
-        seasons.append(
-            TrainingSet(season_id=s + 1, label=f"synth-season-{s + 1}", images=tuple(images))
-        )
+        poses = np.empty((n, 3))
+        feats = np.empty((n, cfg.feature_dim), dtype=np.float32)
+        for idx, p in enumerate(place.tolist()):
+            wp = waypoints[p]
+            if cfg.pose_jitter > 0:
+                dx, dy = rng.normal(0.0, cfg.pose_jitter, size=2)
+                dth = rng.normal(0.0, 0.1 * cfg.pose_jitter)
+            else:
+                dx = dy = dth = 0.0
+            poses[idx] = (wp.x + dx, wp.y + dy, wp.theta + dth)
+            feats[idx] = (
+                cfg.place_signal * place_vecs[p]
+                + cfg.season_drift * season_vecs[s]
+                + cfg.noise * rng.standard_normal(cfg.feature_dim)
+            )
+        seasons.append(TrainingSet(
+            season_id=s + 1, label=f"synth-season-{s + 1}",
+            timestamps=np.arange(n, dtype=np.int64) * 1_000_000, poses=poses, features=feats,
+        ))
     return seasons

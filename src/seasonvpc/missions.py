@@ -63,15 +63,16 @@ class MissionConfig:
             raise ValueError("fusion_x and capacity must be >= 1")
         if self.capacity > MAX_CAPACITY:
             raise ValueError(f"capacity must be <= {MAX_CAPACITY}")
-        if not self.error_thresholds or any(t <= 0 for t in self.error_thresholds):
-            raise ValueError("error thresholds must be positive")
+        if not self.error_thresholds or not all(
+                math.isfinite(t) and t > 0 for t in self.error_thresholds):
+            raise ValueError("error thresholds must be positive and finite")
         if self.success_mode not in ("rank1", "topx"):
             raise ValueError("success_mode must be rank1 or topx")
 
 
 def queries_from_set(test_set: TrainingSet) -> list[MappedImage]:
-    """A test season's images as global-localization queries: each carries
-    its feature vector and its mapped (ground-truth) viewpoint."""
+    """A test season's rows as global-localization queries: each carries its
+    feature vector and its mapped (ground-truth) viewpoint."""
     return list(test_set.images)
 
 
@@ -100,9 +101,9 @@ def run_adaptation(state: EnsembleState, d: TrainingSet, cfg: MissionConfig) -> 
     )
     decision = next_schedule(cfg.strategy, previous, i, cfg.capacity)
     partition = build_partition(d, cfg.partition)
-    features = np.stack([img.feature for img in d.images]).astype(np.float64)
-    labels = membership_labels(partition, len(d.images))
-    summary = partition.summary()
+    features = d.features.astype(np.float64)
+    labels = membership_labels(partition, len(d))
+    summary = partition.summary(d)
     n_classes = len(partition.classes)
 
     records = []

@@ -9,16 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (
-    MappedImage,
-    PlaceClass,
-    PlacePartition,
-    TrainingSet,
-    angle_difference,
-    make_place_class,
-    path_length,
-    viewpoint_distance,
-)
+from .core import PlaceClass, PlacePartition, TrainingSet, angle_difference, path_length
 
 PARTITION_METHODS = ("location", "location-appearance", "incremental")
 
@@ -45,6 +36,8 @@ class PartitionConfig:
             raise ValueError("kmeans_iters must be >= 1")
         if min(self.pos_max, self.ang_max, self.feat_max) <= 0:
             raise ValueError("incremental thresholds must be positive")
+        if not all(map(math.isfinite, (self.t_d, self.pos_max, self.ang_max, self.feat_max))):
+            raise ValueError("t_d and the incremental thresholds must be finite")
 
 
 @dataclass
@@ -80,21 +73,17 @@ def partition_by_location(train: TrainingSet, t_d: float) -> PlacePartition:
     """
     if t_d <= 0:
         raise ValueError("t_d must be positive")
-    if not train.images:
-        raise ValueError("cannot partition an empty training set")
-    groups: list[list[MappedImage]] = []
-    current = [train.images[0]]
+    xy = train.poses[:, :2].tolist()
+    starts = [0]
     cum = 0.0
-    for img in train.images[1:]:
-        cum += viewpoint_distance(current[-1].viewpoint, img.viewpoint)
+    for i in range(1, len(xy)):
+        cum += math.hypot(xy[i - 1][0] - xy[i][0], xy[i - 1][1] - xy[i][1])
         if cum >= t_d:
-            groups.append(current)
-            current = [img]
+            starts.append(i)
             cum = 0.0
-        else:
-            current.append(img)
-    groups.append(current)
-    classes = tuple(make_place_class(cid, members) for cid, members in enumerate(groups))
+    bounds = starts + [len(xy)]
+    classes = tuple(PlaceClass(cid, np.arange(a, b))
+                    for cid, (a, b) in enumerate(zip(bounds, bounds[1:])))
     return PlacePartition(classes=classes, source_season=train.season_id, method="location")
 
 
@@ -161,7 +150,7 @@ def _split_by_travel(train: TrainingSet, member_ids: list[int], t_d: float) -> l
     runs: list[list[int]] = [[member_ids[0]]]
     cum = 0.0
     for prev, cur in zip(member_ids, member_ids[1:]):
-        cum += path_length(train.images, prev, cur)
+        cum += path_length(train, prev, cur)
         if cum >= t_d:
             runs.append([cur])
             cum = 0.0
@@ -173,19 +162,16 @@ def _split_by_travel(train: TrainingSet, member_ids: list[int], t_d: float) -> l
 def partition_location_appearance(train: TrainingSet, cfg: PartitionConfig) -> PlacePartition:
     """Two-stage partition: k-means on raw features, then each cluster is
     split into sub-clusters by travel distance along the trajectory."""
-    n = len(train.images)
-    k = cfg.k if cfg.k is not None else default_k(n, cfg.t_d)
-    feats = np.stack([img.feature for img in train.images]).astype(np.float64)
-    assignment = kmeans(feats, k, iters=cfg.kmeans_iters, seed=cfg.seed)
+    k = cfg.k if cfg.k is not None else default_k(len(train), cfg.t_d)
+    assignment = kmeans(train.features.astype(np.float64), k, iters=cfg.kmeans_iters,
+                        seed=cfg.seed)
     groups: list[list[int]] = []
     for c in range(k):
         member_ids = [int(i) for i in np.flatnonzero(assignment.labels == c)]
         if member_ids:
             groups.extend(_split_by_travel(train, member_ids, cfg.t_d))
     groups.sort(key=lambda g: g[0])
-    classes = tuple(
-        make_place_class(cid, [train.images[i] for i in g]) for cid, g in enumerate(groups)
-    )
+    classes = tuple(PlaceClass(cid, g) for cid, g in enumerate(groups))
     return PlacePartition(
         classes=classes, source_season=train.season_id, method="location-appearance"
     )
@@ -198,20 +184,19 @@ def partition_incremental(train: TrainingSet, cfg: PartitionConfig) -> PlacePart
     L2-normalized feature distance to that class's keyframe all clear the
     thresholds; otherwise it founds a new class and becomes its keyframe.
     """
-    feats = [l2_normalize(img.feature) for img in train.images]
+    feats = [l2_normalize(f) for f in train.features]
     member_groups: list[list[int]] = []
     kf_xy: list[tuple[float, float]] = []
     kf_theta: list[float] = []
     kf_feat: list[np.ndarray] = []
-    for idx, img in enumerate(train.images):
-        vp = img.viewpoint
+    for idx, (x, y, theta) in enumerate(train.poses.tolist()):
         target = -1
         if member_groups:
-            dists = [math.hypot(vp.x - kx, vp.y - ky) for kx, ky in kf_xy]
+            dists = [math.hypot(x - kx, y - ky) for kx, ky in kf_xy]
             nearest = int(np.argmin(dists))
             if (
                 dists[nearest] < cfg.pos_max
-                and angle_difference(vp.theta, kf_theta[nearest]) < cfg.ang_max
+                and angle_difference(theta, kf_theta[nearest]) < cfg.ang_max
                 and float(np.linalg.norm(feats[idx] - kf_feat[nearest])) < cfg.feat_max
             ):
                 target = nearest
@@ -219,12 +204,10 @@ def partition_incremental(train: TrainingSet, cfg: PartitionConfig) -> PlacePart
             member_groups[target].append(idx)
         else:
             member_groups.append([idx])
-            kf_xy.append((vp.x, vp.y))
-            kf_theta.append(vp.theta)
+            kf_xy.append((x, y))
+            kf_theta.append(theta)
             kf_feat.append(feats[idx])
-    classes = tuple(
-        make_place_class(cid, [train.images[i] for i in g]) for cid, g in enumerate(member_groups)
-    )
+    classes = tuple(PlaceClass(cid, g) for cid, g in enumerate(member_groups))
     return PlacePartition(classes=classes, source_season=train.season_id, method="incremental")
 
 
@@ -234,20 +217,22 @@ def incremental_margins(train: TrainingSet, partition: PlacePartition) -> list[d
     Keyframes never move, so recomputing each member's distances against its
     class keyframe reproduces the values seen at insertion time.
     """
+    poses = train.poses.tolist()
     rows = []
     for cls in partition.classes:
-        kf = cls.keyframe
-        kf_feat = l2_normalize(kf.feature)
-        for m in cls.members:
-            if m is kf:
-                continue
+        kf, *others = cls.members.tolist()
+        kx, ky, ktheta = poses[kf]
+        kf_feat = l2_normalize(train.features[kf])
+        for m in others:
+            x, y, theta = poses[m]
+            feat = l2_normalize(train.features[m])
             rows.append(
                 {
-                    "image_id": m.id,
+                    "image_id": m,
                     "class_id": cls.class_id,
-                    "pos_dist": viewpoint_distance(m.viewpoint, kf.viewpoint),
-                    "ang_diff": angle_difference(m.viewpoint.theta, kf.viewpoint.theta),
-                    "feat_dist": float(np.linalg.norm(l2_normalize(m.feature) - kf_feat)),
+                    "pos_dist": math.hypot(x - kx, y - ky),
+                    "ang_diff": angle_difference(theta, ktheta),
+                    "feat_dist": float(np.linalg.norm(feat - kf_feat)),
                 }
             )
     return rows

@@ -7,7 +7,7 @@ import colorsys
 from pathlib import Path
 from typing import Sequence
 
-from .core import PlacePartition, TrainingSet
+from .core import PlacePartition, TrainingSet, membership_labels
 from .sched import Schedule
 
 # One color per training season, cycling beyond four.
@@ -136,7 +136,7 @@ def success_svg(series: dict[str, list[tuple[int, float]]],
 
 
 def partition_csv(partition: PlacePartition) -> str:
-    pairs = sorted((m.id, cls.class_id) for cls in partition.classes for m in cls.members)
+    pairs = sorted((m, cls.class_id) for cls in partition.classes for m in cls.members.tolist())
     lines = ["image_id,class_id"]
     lines.extend(f"{img_id},{class_id}" for img_id, class_id in pairs)
     return "\n".join(lines) + "\n"
@@ -145,8 +145,7 @@ def partition_csv(partition: PlacePartition) -> str:
 def partition_svg(train: TrainingSet, partition: PlacePartition,
                   size: int = 480) -> str:
     """Trajectory overlay: one dot per image, colored by place class."""
-    xs = [img.viewpoint.x for img in train.images]
-    ys = [img.viewpoint.y for img in train.images]
+    xs, ys = train.poses[:, 0].tolist(), train.poses[:, 1].tolist()
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
     span = max(x_hi - x_lo, y_hi - y_lo, 1e-9)
@@ -159,20 +158,17 @@ def partition_svg(train: TrainingSet, partition: PlacePartition,
     def py(y: float) -> float:
         return size - margin - (y - y_lo) * scale  # y up
 
-    label = {m.id: cls.class_id for cls in partition.classes for m in cls.members}
+    labels = membership_labels(partition, len(train)).tolist()
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
         f'viewBox="0 0 {size} {size}">',
         f'<rect width="{size}" height="{size}" fill="white"/>',
     ]
-    path_pts = " ".join(
-        f"{px(img.viewpoint.x):.2f},{py(img.viewpoint.y):.2f}" for img in train.images
-    )
+    path_pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
     parts.append(f'<polyline points="{path_pts}" fill="none" stroke="#ddd" stroke-width="1"/>')
-    for img in train.images:
+    for x, y, label in zip(xs, ys, labels):
         parts.append(
-            f'<circle cx="{px(img.viewpoint.x):.2f}" cy="{py(img.viewpoint.y):.2f}" r="4" '
-            f'fill="{class_color(label[img.id])}"/>'
+            f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="4" fill="{class_color(label)}"/>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

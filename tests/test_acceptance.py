@@ -81,13 +81,9 @@ def _random_trajectory(seed):
     n = int(rng.integers(2, 60))
     steps = rng.uniform(0.0, 9.0, size=(n, 2)) * rng.choice([-1, 1], size=(n, 2))
     xy = np.cumsum(steps, axis=0)
-    images = tuple(
-        vpc.MappedImage(id=i, timestamp=i * 1_000_000,
-                        viewpoint=vpc.Viewpoint(float(x), float(y)),
-                        feature=np.array([0.0]))
-        for i, (x, y) in enumerate(xy)
-    )
-    return vpc.TrainingSet(season_id=1, label=f"r{seed}", images=images)
+    return vpc.TrainingSet(season_id=1, label=f"r{seed}", timestamps=np.arange(n) * 1_000_000,
+                           poses=np.column_stack([xy, np.zeros(n)]),
+                           features=np.zeros((n, 1)))
 
 
 def test_criterion_3_location_partition_properties():
@@ -99,18 +95,18 @@ def test_criterion_3_location_partition_properties():
         part = vpc.partition_by_location(train, t_d)
         covered = []
         for cls in part.classes:
-            ids = [m.id for m in cls.members]
+            ids = [int(m) for m in cls.members]
             if ids != list(range(ids[0], ids[-1] + 1)):
                 failures.append((seed, "non-contiguous class", ids))
             covered.extend(ids)
         if covered != list(range(len(train.images))):
             failures.append((seed, "not a partition"))
-        steps = [vpc.path_length(train.images, i, i + 1)
+        steps = [vpc.path_length(train, i, i + 1)
                  for i in range(len(train.images) - 1)]
         max_step = max(steps) if steps else 0.0
-        starts = [cls.members[0].id for cls in part.classes]
+        starts = [int(cls.members[0]) for cls in part.classes]
         for a, b in zip(starts, starts[1:]):
-            span = vpc.path_length(train.images, a, b)
+            span = vpc.path_length(train, a, b)
             if not (t_d <= span < t_d + max_step + 1e-9):
                 failures.append((seed, "span out of range", span, max_step))
     _report(3, "UPD1 class spans in [t_d, t_d + max_step)", t0, 2.0, failures)
@@ -122,19 +118,18 @@ def test_criterion_4_incremental_thresholds_post_hoc():
     cfg = vpc.PartitionConfig(method="incremental")
     for seed in range(5):
         rng = np.random.default_rng(seed)
-        images = []
+        poses, feats = [], []
         x = y = 0.0
         heading = 0.0
         for i in range(120):
             x += rng.uniform(0.0, 7.0)
             y += rng.normal(0.0, 2.0)
             heading += rng.normal(0.0, 0.15)
-            images.append(
-                vpc.MappedImage(id=i, timestamp=i * 1_000_000,
-                                viewpoint=vpc.Viewpoint(x, y, heading),
-                                feature=rng.normal(size=6) + 3.0)
-            )
-        train = vpc.TrainingSet(season_id=1, label=f"w{seed}", images=tuple(images))
+            poses.append((x, y, heading))
+            feats.append(rng.normal(size=6) + 3.0)
+        train = vpc.TrainingSet(season_id=1, label=f"w{seed}",
+                                timestamps=np.arange(120) * 1_000_000, poses=poses,
+                                features=feats)
         part = vpc.partition_incremental(train, cfg)
         rows = vpc.incremental_margins(train, part)
         if len(rows) != len(train.images) - len(part.classes):

@@ -152,12 +152,12 @@ def test_no_command_prints_help(capsys):
 
 
 def _run_two_season_manifest(tmp_path, *, manifest_dim=3, file_dim=3, season_2_id=2,
-                             first_timestamp="0", nan_feature=False):
+                             first_timestamp="0", nan_feature=False, n_seasons=2):
     """`seasonvpc run` for one mission over a two-season manifest of four
     images each, with one field of the input replaced; returns the exit code."""
     from seasonvpc import write_features
     seasons = []
-    for sid in (1, 2):
+    for sid in range(1, n_seasons + 1):
         rows = [f"{t * 1_000_000},{3.0 * t!r},0.0,0.0" for t in range(4)]
         if sid == 1:
             rows[0] = first_timestamp + rows[0][rows[0].index(","):]
@@ -199,3 +199,67 @@ def test_run_malformed_manifest_or_poses_is_data_error(tmp_path, capsys, caplog,
     err = capsys.readouterr().err
     assert "data error" in err and message in err
     assert "Traceback" not in err + caplog.text
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(season_2_id=3), "contiguous"),
+    (dict(season_2_id=2**32 + 2), "contiguous"),
+    (dict(season_2_id=1), "contiguous"),
+    (dict(n_seasons=1), "at least two seasons"),
+], ids=["season_id_gap", "season_id_past_u32", "season_id_repeated", "one_season"])
+def test_run_manifest_season_ids_are_data_errors(tmp_path, capsys, fields, message):
+    assert _run_two_season_manifest(tmp_path, **fields) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and message in err and "manifest.json" in err
+
+
+def _nested_spec(tmp_path, section, field, value):
+    spec = _spec_file(tmp_path)
+    doc = json.loads(spec.read_text())
+    if section is None:
+        doc[field] = value
+    else:
+        doc.setdefault(section, {})[field] = value
+    if section == "partition":
+        doc["partition"]["method"] = "incremental"
+    spec.write_text(json.dumps(doc))  # NaN / Infinity literals, as Python's json reads them
+    return spec
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+NON_FINITE_SPEC_VALUES = [
+    ("train", "learning_rate", NAN),
+    ("train", "learning_rate", INF),
+    ("train", "weight_scale", INF),
+    ("partition", "t_d", NAN),
+    ("partition", "pos_max", NAN),
+    ("partition", "ang_max", INF),
+    ("partition", "feat_max", NAN),
+    (None, "error_thresholds", [10.0, NAN]),
+    (None, "error_thresholds", [INF]),
+    ("synth", "loop_length", INF),
+    ("synth", "place_signal", NAN),
+    ("synth", "season_drift", NAN),
+    ("synth", "noise", NAN),
+    ("synth", "pose_jitter", INF),
+]
+
+
+@pytest.mark.parametrize("section, field, value", NON_FINITE_SPEC_VALUES,
+                         ids=[f"{s or 'mission'}.{f}={v}" for s, f, v in NON_FINITE_SPEC_VALUES])
+def test_run_non_finite_spec_value_is_usage_error(tmp_path, capsys, section, field, value):
+    spec = _nested_spec(tmp_path, section, field, value)
+    assert main(["run", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and "finite" in err
+
+
+@pytest.mark.parametrize("flags", [["--td", "nan"], ["--td", "inf"], ["--error", "nan"],
+                                   ["--error", "10", "inf"]], ids=" ".join)
+def test_run_non_finite_flag_is_usage_error(tmp_path, capsys, flags):
+    spec = _spec_file(tmp_path, missions=1)
+    assert main(["run", "--spec", str(spec), "--out", str(tmp_path / "out"), *flags]) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and "finite" in err

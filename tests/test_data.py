@@ -14,7 +14,6 @@ from seasonvpc import (
     load_manifest,
     load_poses,
     synth_generate,
-    viewpoint_distance,
     write_features,
     write_poses,
 )
@@ -23,17 +22,19 @@ from seasonvpc import (
 def test_load_poses_basic(tmp_path):
     p = tmp_path / "poses.csv"
     p.write_text("0,0,0,0\n1,1,0,0\n")
-    poses = load_poses(p)
-    assert len(poses) == 2
-    assert viewpoint_distance(poses[0][1], poses[1][1]) == pytest.approx(1.0)
+    timestamps, poses = load_poses(p)
+    assert timestamps.dtype == np.int64 and timestamps.tolist() == [0, 1]
+    assert poses.dtype == np.float64 and poses.tolist() == [[0, 0, 0], [1, 0, 0]]
 
 
 def test_load_poses_normalizes_theta(tmp_path):
+    # headings are normalized when the loaded columns become a season
     p = tmp_path / "poses.csv"
     p.write_text("0,0,0,7.0\n")
-    (_, vp), = load_poses(p)
-    assert -math.pi < vp.theta <= math.pi
-    assert vp.theta == pytest.approx(7.0 - 2 * math.pi)
+    train = associate(*load_poses(p), np.ones((1, 2)))
+    theta = train.poses[0, 2]
+    assert -math.pi < theta <= math.pi
+    assert theta == pytest.approx(7.0 - 2 * math.pi)
 
 
 def test_load_poses_rejects_decreasing_timestamps(tmp_path):
@@ -46,9 +47,9 @@ def test_load_poses_rejects_decreasing_timestamps(tmp_path):
 def test_load_poses_nclt_columns(tmp_path):
     p = tmp_path / "gt.csv"
     p.write_text("1000,2.0,3.0,0.5,0.01,0.02,1.5\n2000,2.5,3.0,0.5,0.0,0.0,1.6\n")
-    poses = load_poses(p)
-    assert poses[0][0] == 1000
-    assert poses[0][1].x == 2.0 and poses[0][1].theta == pytest.approx(1.5)
+    timestamps, poses = load_poses(p)
+    assert timestamps[0] == 1000
+    assert poses[0, 0] == 2.0 and poses[0, 2] == pytest.approx(1.5)
 
 
 def test_load_poses_rejects_malformed(tmp_path):
@@ -82,17 +83,14 @@ def test_nul_byte_in_path_is_data_error(tmp_path):
 
 
 def test_poses_roundtrip(tmp_path):
-    from seasonvpc import Viewpoint
     rng = np.random.default_rng(0)
-    poses = [
-        (i * 1000, Viewpoint(float(rng.normal()), float(rng.normal()),
-                             float(rng.uniform(-3, 3))))
-        for i in range(10)
-    ]
+    timestamps = np.arange(10) * 1000
+    poses = np.array([(rng.normal(), rng.normal(), rng.uniform(-3, 3)) for _ in range(10)])
     path = tmp_path / "rt.csv"
-    write_poses(path, poses)
-    loaded = load_poses(path)
-    assert loaded == poses
+    write_poses(path, timestamps, poses)
+    loaded_ts, loaded = load_poses(path)
+    np.testing.assert_array_equal(loaded_ts, timestamps)
+    np.testing.assert_array_equal(loaded, poses)
 
 
 def test_features_binary_roundtrip(tmp_path):
@@ -146,6 +144,19 @@ def test_features_csv_fallback(tmp_path):
     np.testing.assert_allclose(loaded, [[1, 2, 3, 4], [5, 6, 7, 8]])
 
 
+def test_features_csv_value_outside_float32_is_data_error(tmp_path):
+    path = tmp_path / "f.csv"
+    path.write_text("1,2\n# comment\n3,1e300\n")
+    with pytest.raises(DataError, match=r"f\.csv:3: value 1e\+300 is outside the float32 range"):
+        load_features(path, 2)
+    path.write_text("1,-1e39\n")
+    with pytest.raises(DataError, match="float32 range"):
+        load_features(path, 2)
+    largest = float(np.finfo(np.float32).max)
+    path.write_text(f"{largest!r},{-largest!r},1e-60\n")
+    assert load_features(path, 3).tolist() == [[largest, -largest, 0.0]]
+
+
 def test_features_csv_roundtrip(tmp_path):
     rng = np.random.default_rng(2)
     arr = rng.normal(size=(3, 5)).astype(np.float32)
@@ -156,31 +167,18 @@ def test_features_csv_roundtrip(tmp_path):
 
 
 def _poses(n, dt_us=1_000_000):
-    from seasonvpc import Viewpoint
-    return [(i * dt_us, Viewpoint(float(i), 0.0)) for i in range(n)]
+    poses = np.zeros((n, 3))
+    poses[:, 0] = np.arange(n)
+    return np.arange(n) * dt_us, poses
 
 
 def test_associate_strict():
     feats = np.eye(3, dtype=np.float32)
-    train = associate(_poses(3), feats, season_id=2, label="s")
+    train = associate(*_poses(3), feats, season_id=2, label="s")
     assert train.season_id == 2
     assert [img.id for img in train.images] == [0, 1, 2]
     with pytest.raises(DataError):
-        associate(_poses(4), feats)
-
-
-def test_associate_loose_within_window():
-    feats = np.eye(3, dtype=np.float32)
-    times = [400_000, 1_400_000, 2_400_000]  # 0.4 s after each pose
-    train = associate(_poses(3), feats, mode="loose", feature_times=times)
-    assert [img.timestamp for img in train.images] == [0, 1_000_000, 2_000_000]
-
-
-def test_associate_loose_gap_fails():
-    feats = np.eye(2, dtype=np.float32)
-    times = [400_000, 9_000_000]  # second feature 1+ s from any pose
-    with pytest.raises(DataError):
-        associate(_poses(3), feats, mode="loose", feature_times=times)
+        associate(*_poses(4), feats)
 
 
 def test_manifest_roundtrip(tmp_path):
@@ -189,10 +187,8 @@ def test_manifest_roundtrip(tmp_path):
     seasons = synth_generate(cfg)
     entries = []
     for t in seasons:
-        poses = [(img.timestamp, img.viewpoint) for img in t.images]
-        feats = np.stack([img.feature for img in t.images])
-        write_poses(tmp_path / f"s{t.season_id}_poses.csv", poses)
-        write_features(tmp_path / f"s{t.season_id}_feats.bin", feats)
+        write_poses(tmp_path / f"s{t.season_id}_poses.csv", t.timestamps, t.poses)
+        write_features(tmp_path / f"s{t.season_id}_feats.bin", t.features)
         entries.append({
             "poses": f"s{t.season_id}_poses.csv",
             "features": f"s{t.season_id}_feats.bin",
@@ -204,11 +200,8 @@ def test_manifest_roundtrip(tmp_path):
     f_dim, bundles = load_manifest(manifest)
     assert f_dim == 6 and len(bundles) == 2
     loaded = load_bundle(bundles[0], f_dim)
-    assert len(loaded.images) == len(seasons[0].images)
-    np.testing.assert_array_equal(
-        np.stack([img.feature for img in loaded.images]),
-        np.stack([img.feature for img in seasons[0].images]),
-    )
+    for column in ("timestamps", "poses", "features"):
+        np.testing.assert_array_equal(getattr(loaded, column), getattr(seasons[0], column))
 
 
 def test_manifest_missing_file(tmp_path):
@@ -225,9 +218,8 @@ def test_synth_no_drift_no_noise_features_repeat_across_seasons():
     cfg = SynthConfig(n_places=5, loop_length=100.0, images_per_place=2, feature_dim=8,
                       season_drift=0.0, noise=0.0, n_seasons=3, seed=4)
     seasons = synth_generate(cfg)
-    f1 = np.stack([img.feature for img in seasons[0].images])
     for t in seasons[1:]:
-        np.testing.assert_array_equal(np.stack([img.feature for img in t.images]), f1)
+        np.testing.assert_array_equal(t.features, seasons[0].features)
 
 
 def test_synth_deterministic():
@@ -236,19 +228,15 @@ def test_synth_deterministic():
     a = synth_generate(cfg)
     b = synth_generate(cfg)
     for ta, tb in zip(a, b):
-        assert [img.timestamp for img in ta.images] == [img.timestamp for img in tb.images]
-        np.testing.assert_array_equal(
-            np.stack([img.feature for img in ta.images]),
-            np.stack([img.feature for img in tb.images]),
-        )
-        assert [img.viewpoint for img in ta.images] == [img.viewpoint for img in tb.images]
+        for column in ("timestamps", "poses", "features"):
+            np.testing.assert_array_equal(getattr(ta, column), getattr(tb, column))
 
 
 def test_synth_seasons_differ_only_by_drift_vector_when_noiseless():
     cfg = SynthConfig(n_places=6, loop_length=120.0, images_per_place=3, feature_dim=10,
                       season_drift=0.7, noise=0.0, n_seasons=3, seed=6)
     seasons = synth_generate(cfg)
-    f = [np.stack([img.feature for img in t.images]).astype(np.float64) for t in seasons]
+    f = [t.features.astype(np.float64) for t in seasons]
     # the per-image difference between two seasons is one constant vector
     for s in (1, 2):
         diff = f[s] - f[0]
@@ -259,7 +247,7 @@ def test_synth_place_signal_dominates_noise():
     cfg = SynthConfig(n_places=10, loop_length=200.0, images_per_place=4, feature_dim=16,
                       place_signal=1.0, season_drift=0.0, noise=0.02, n_seasons=1, seed=7)
     (season,) = synth_generate(cfg)
-    feats = np.stack([img.feature for img in season.images]).astype(np.float64)
+    feats = season.features.astype(np.float64)
     labels = np.repeat(np.arange(10), 4)
     centroids = np.stack([feats[labels == p].mean(axis=0) for p in range(10)])
     d2 = ((feats[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
@@ -270,5 +258,6 @@ def test_synth_place_spacing_is_euclidean_hop():
     cfg = SynthConfig(n_places=12, loop_length=240.0, images_per_place=1, pose_jitter=0.0,
                       n_seasons=1, seed=8)
     (season,) = synth_generate(cfg)
-    hop = viewpoint_distance(season.images[0].viewpoint, season.images[1].viewpoint)
+    (x0, y0, _), (x1, y1, _) = season.poses[:2].tolist()
+    hop = math.hypot(x1 - x0, y1 - y0)
     assert hop == pytest.approx(cfg.place_spacing)

@@ -4,8 +4,6 @@ import pytest
 from seasonvpc import (
     FusedResult,
     GlobalCandidate,
-    MappedImage,
-    TrainingSet,
     Viewpoint,
     fuse,
     fused_results,
@@ -18,7 +16,7 @@ from conftest import line_training_set
 
 def _partition(n=3):
     train = line_training_set(n, spacing=100.0)  # one class per image
-    return partition_by_location(train, 50.0)
+    return partition_by_location(train, 50.0).summary(train)
 
 
 def _cand(slot, cid, prob, x=0.0):

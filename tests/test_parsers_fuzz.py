@@ -5,6 +5,7 @@ never a bare ValueError, OverflowError, struct.error or similar."""
 import hashlib
 import json
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -60,10 +61,11 @@ def _write(tmp_path_factory, name, blob):
 def test_load_poses_raises_only_data_error(tmp_path_factory, blob):
     path = _write(tmp_path_factory, "poses.csv", blob)
     try:
-        poses = load_poses(path)
+        timestamps, poses = load_poses(path)
     except DataError:
         return
-    assert poses and all(-2**63 <= ts < 2**63 for ts, _ in poses)
+    assert len(timestamps) and timestamps.dtype == np.int64
+    assert poses.shape == (len(timestamps), 3) and np.isfinite(poses).all()
 
 
 FEATURE_BYTES = st.one_of(
@@ -80,9 +82,9 @@ FEATURE_BYTES = st.one_of(
 )
 
 
-# A CSV value past the float32 range loads as inf (numpy warns on the cast);
-# the season is then refused as non-finite when it is assembled.
-@pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
+# A CSV value past the float32 range is a DataError; numpy must not warn
+# about (and silently make inf of) an overflowing cast.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @FUZZ
 @given(blob=FEATURE_BYTES, f_dim=st.one_of(st.none(), st.integers(1, 4)))
 def test_load_features_raises_only_data_error(tmp_path_factory, blob, f_dim):

@@ -4,10 +4,7 @@ import numpy as np
 import pytest
 
 from seasonvpc import (
-    MappedImage,
     PartitionConfig,
-    TrainingSet,
-    Viewpoint,
     build_partition,
     incremental_margins,
     kmeans,
@@ -22,26 +19,20 @@ from seasonvpc import (
 )
 from seasonvpc.report import partition_csv
 
-from conftest import line_training_set
+from conftest import line_training_set, season_from_xy
 
 
 def _random_trajectory(seed, n=None):
     rng = np.random.default_rng(seed)
     n = n or int(rng.integers(2, 60))
     steps = rng.uniform(0.0, 9.0, size=(n, 2)) * rng.choice([-1, 1], size=(n, 2))
-    xy = np.cumsum(steps, axis=0)
-    images = tuple(
-        MappedImage(id=i, timestamp=i * 1_000_000,
-                    viewpoint=Viewpoint(float(x), float(y)), feature=np.array([0.0]))
-        for i, (x, y) in enumerate(xy)
-    )
-    return TrainingSet(season_id=1, label=f"rand{seed}", images=images)
+    return season_from_xy(np.cumsum(steps, axis=0), label=f"rand{seed}")
 
 
 def _class_ranges_contiguous(partition, n_images):
     covered = []
     for cls in partition.classes:
-        ids = [m.id for m in cls.members]
+        ids = cls.members.tolist()
         assert ids == list(range(ids[0], ids[-1] + 1))
         covered.extend(ids)
     assert covered == list(range(n_images))
@@ -49,9 +40,9 @@ def _class_ranges_contiguous(partition, n_images):
 
 def test_location_partition_line_example(line7):
     p = partition_by_location(line7, 18.0)
-    assert [[m.id for m in c.members] for c in p.classes] == [[0, 1, 2, 3, 4, 5], [6]]
-    assert p.classes[0].keyframe.id == 0
-    assert p.classes[1].keyframe.id == 6
+    assert [c.members.tolist() for c in p.classes] == [[0, 1, 2, 3, 4, 5], [6]]
+    kf = [c.keyframe_id for c in p.summary(line7).classes]
+    assert kf == [0, 6]
 
 
 def test_location_partition_single_image():
@@ -60,12 +51,7 @@ def test_location_partition_single_image():
 
 
 def test_location_partition_no_travel_single_class():
-    images = tuple(
-        MappedImage(id=i, timestamp=i * 1_000_000, viewpoint=Viewpoint(5.0, 5.0),
-                    feature=np.array([0.0]))
-        for i in range(9)
-    )
-    train = TrainingSet(season_id=1, label="still", images=images)
+    train = season_from_xy(np.full((9, 2), 5.0), label="still")
     p = partition_by_location(train, 18.0)
     assert len(p.classes) == 1
     assert len(p.classes[0].members) == 9
@@ -78,14 +64,12 @@ def test_location_partition_boundary_lengths_property():
     for seed in range(100):
         train = _random_trajectory(seed)
         p = partition_by_location(train, t_d)
-        _class_ranges_contiguous(p, len(train.images))
-        starts = [c.members[0].id for c in p.classes]
-        steps = [
-            path_length(train.images, i, i + 1) for i in range(len(train.images) - 1)
-        ]
+        _class_ranges_contiguous(p, len(train))
+        starts = [int(c.members[0]) for c in p.classes]
+        steps = [path_length(train, i, i + 1) for i in range(len(train) - 1)]
         max_step = max(steps) if steps else 0.0
         for a, b in zip(starts, starts[1:]):
-            span = path_length(train.images, a, b)
+            span = path_length(train, a, b)
             assert t_d <= span < t_d + max_step + 1e-9
 
 
@@ -139,15 +123,15 @@ def test_location_appearance_k1_degenerates_to_location(line7):
     cfg = PartitionConfig(method="location-appearance", t_d=18.0, k=1)
     pa = partition_location_appearance(line7, cfg)
     pl = partition_by_location(line7, 18.0)
-    assert [[m.id for m in c.members] for c in pa.classes] == \
-        [[m.id for m in c.members] for c in pl.classes]
+    assert [c.members.tolist() for c in pa.classes] == \
+        [c.members.tolist() for c in pl.classes]
 
 
 def test_location_appearance_constant_features_k1(line7):
     flat = line_training_set(7, feature=lambda i: [1.0, 1.0])
     cfg = PartitionConfig(method="location-appearance", t_d=18.0, k=1)
     pa = partition_location_appearance(flat, cfg)
-    assert [[m.id for m in c.members] for c in pa.classes] == [[0, 1, 2, 3, 4, 5], [6]]
+    assert [c.members.tolist() for c in pa.classes] == [[0, 1, 2, 3, 4, 5], [6]]
 
 
 def test_location_appearance_interleaved_blobs_split_independently():
@@ -160,72 +144,56 @@ def test_location_appearance_interleaved_blobs_split_independently():
     train = line_training_set(8, spacing=2.0, feature=feat)
     cfg = PartitionConfig(method="location-appearance", t_d=6.0, k=2, seed=0)
     p = partition_location_appearance(train, cfg)
-    assert [[m.id for m in c.members] for c in p.classes] == [[0, 2], [1, 3], [4, 6], [5, 7]]
+    assert [c.members.tolist() for c in p.classes] == [[0, 2], [1, 3], [4, 6], [5, 7]]
+
+
+def _pair(x1=0.0, theta1=0.0, feature1=(1.0, 0.0), label="pair"):
+    """Two images: one at the origin facing +x with feature (1, 0), one at
+    (x1, 0) with heading theta1 and feature feature1."""
+    return season_from_xy([(0.0, 0.0), (x1, 0.0)], theta=[0.0, theta1],
+                          features=np.array([(1.0, 0.0), feature1]), label=label)
 
 
 def test_incremental_first_and_identical_images():
-    images = (
-        MappedImage(id=0, timestamp=0, viewpoint=Viewpoint(0, 0, 0), feature=np.array([1.0, 0.0])),
-        MappedImage(id=1, timestamp=1, viewpoint=Viewpoint(0, 0, 0), feature=np.array([1.0, 0.0])),
-    )
-    train = TrainingSet(season_id=1, label="dup", images=images)
+    train = _pair(label="dup")
     p = partition_incremental(train, PartitionConfig(method="incremental"))
     assert len(p.classes) == 1
-    assert [m.id for m in p.classes[0].members] == [0, 1]
+    assert p.classes[0].members.tolist() == [0, 1]
 
 
 def test_incremental_position_threshold_creates_new_class():
-    images = (
-        MappedImage(id=0, timestamp=0, viewpoint=Viewpoint(0, 0, 0), feature=np.array([1.0, 0.0])),
-        MappedImage(id=1, timestamp=1, viewpoint=Viewpoint(31.0, 0, 0), feature=np.array([1.0, 0.0])),
-    )
-    train = TrainingSet(season_id=1, label="far", images=images)
+    train = _pair(x1=31.0, label="far")
     p = partition_incremental(train, PartitionConfig(method="incremental"))
     assert len(p.classes) == 2
     # exactly 30 m is outside the strict '< 30' acceptance region too
-    images30 = (
-        images[0],
-        MappedImage(id=1, timestamp=1, viewpoint=Viewpoint(30.0, 0, 0), feature=np.array([1.0, 0.0])),
-    )
-    p30 = partition_incremental(
-        TrainingSet(season_id=1, label="edge", images=images30),
-        PartitionConfig(method="incremental"),
-    )
+    p30 = partition_incremental(_pair(x1=30.0, label="edge"),
+                                PartitionConfig(method="incremental"))
     assert len(p30.classes) == 2
 
 
 def test_incremental_angle_and_feature_thresholds():
-    base = MappedImage(id=0, timestamp=0, viewpoint=Viewpoint(0, 0, 0),
-                       feature=np.array([1.0, 0.0]))
-    turned = MappedImage(id=1, timestamp=1, viewpoint=Viewpoint(1.0, 0, math.pi / 4),
-                         feature=np.array([1.0, 0.0]))
-    train = TrainingSet(season_id=1, label="turn", images=(base, turned))
+    train = _pair(x1=1.0, theta1=math.pi / 4, label="turn")
     assert len(partition_incremental(train, PartitionConfig(method="incremental")).classes) == 2
 
-    changed = MappedImage(id=1, timestamp=1, viewpoint=Viewpoint(1.0, 0, 0),
-                          feature=np.array([0.0, 1.0]))  # normalized distance sqrt(2) > 0.8
-    train2 = TrainingSet(season_id=1, label="feat", images=(base, changed))
+    # normalized distance sqrt(2) > 0.8
+    train2 = _pair(x1=1.0, feature1=(0.0, 1.0), label="feat")
     assert len(partition_incremental(train2, PartitionConfig(method="incremental")).classes) == 2
 
 
 def test_incremental_margins_respect_thresholds():
     rng = np.random.default_rng(2)
-    images = []
+    xy, theta, feats = [], [], []
     x = 0.0
-    for i in range(60):
+    for _ in range(60):
         x += rng.uniform(0.5, 8.0)
-        feat = rng.normal(size=4) + 4.0
-        images.append(
-            MappedImage(id=i, timestamp=i * 1_000_000,
-                        viewpoint=Viewpoint(x, float(rng.normal(0, 2.0)),
-                                            float(rng.normal(0, 0.2))),
-                        feature=feat)
-        )
-    train = TrainingSet(season_id=1, label="walk", images=tuple(images))
+        feats.append(rng.normal(size=4) + 4.0)
+        xy.append((x, rng.normal(0, 2.0)))
+        theta.append(rng.normal(0, 0.2))
+    train = season_from_xy(xy, theta=theta, features=np.array(feats))
     cfg = PartitionConfig(method="incremental")
     p = partition_incremental(train, cfg)
     rows = incremental_margins(train, p)
-    n_non_keyframe = len(train.images) - len(p.classes)
+    n_non_keyframe = len(train) - len(p.classes)
     assert len(rows) == n_non_keyframe
     for r in rows:
         assert r["pos_dist"] < cfg.pos_max
@@ -235,28 +203,20 @@ def test_incremental_margins_respect_thresholds():
 
 @pytest.mark.parametrize("method", ["location", "location-appearance", "incremental"])
 def test_every_method_is_a_partition(method):
-    train = _random_trajectory(42, n=50)
+    xy = _random_trajectory(42, n=50).poses[:, :2]
     # give images informative features so all methods are exercised
-    images = tuple(
-        MappedImage(id=img.id, timestamp=img.timestamp, viewpoint=img.viewpoint,
-                    feature=np.array([img.viewpoint.x / 10.0, 1.0]))
-        for img in train.images
-    )
-    train = TrainingSet(season_id=1, label="p", images=images)
+    feats = np.column_stack([xy[:, 0] / 10.0, np.ones(50)])
+    train = season_from_xy(xy, features=feats, label="p")
     p = build_partition(train, PartitionConfig(method=method, seed=3))
-    labels = membership_labels(p, len(train.images))  # raises on holes/overlap
+    labels = membership_labels(p, len(train))  # raises on holes/overlap
     assert labels.shape == (50,)
     assert [c.class_id for c in p.classes] == list(range(len(p.classes)))
 
 
 def test_partition_determinism_byte_for_byte():
-    train = _random_trajectory(9, n=40)
-    images = tuple(
-        MappedImage(id=img.id, timestamp=img.timestamp, viewpoint=img.viewpoint,
-                    feature=np.array([math.sin(img.id), math.cos(img.id)]))
-        for img in train.images
-    )
-    train = TrainingSet(season_id=1, label="d", images=images)
+    xy = _random_trajectory(9, n=40).poses[:, :2]
+    feats = np.array([(math.sin(i), math.cos(i)) for i in range(40)])
+    train = season_from_xy(xy, features=feats, label="d")
     for method in ("location", "location-appearance", "incremental"):
         cfg = PartitionConfig(method=method, seed=21)
         a = partition_csv(build_partition(train, cfg))

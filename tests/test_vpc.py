@@ -8,13 +8,14 @@ from seasonvpc import (
     ClassifierRecord,
     ClassSummary,
     EnsembleState,
-    MappedImage,
     MissionConfig,
     PartitionSummary,
     RetrainHistory,
     StrategyConfig,
+    TrainingSet,
     Viewpoint,
     init_model,
+    queries_from_set,
     run_vpc,
 )
 
@@ -62,9 +63,9 @@ def _random_state(rng, f_dim):
 
 
 def _queries(rng, n, f_dim):
-    return [MappedImage(id=i, timestamp=i, viewpoint=Viewpoint(0.0, 0.0),
-                        feature=rng.normal(size=f_dim))
-            for i in range(n)]
+    test_set = TrainingSet(season_id=1, label="q", timestamps=np.arange(n),
+                           poses=np.zeros((n, 3)), features=rng.normal(size=(n, f_dim)))
+    return queries_from_set(test_set)
 
 
 def _key(result):

@@ -35,8 +35,10 @@ class TrainConfig:
 class ModelParams:
     """Body (w1, b1) + softmax head (w2, b2); immutable by convention.
 
-    final_loss and seed are training metadata carried for reporting and
-    serialization; they do not affect predictions.
+    Models built by this package keep their four arrays in one block, each
+    starting on an ALIGN-byte boundary (`_block`); the class itself accepts
+    any arrays. final_loss and seed are training metadata carried for
+    reporting and serialization; they do not affect predictions.
     """
 
     w1: np.ndarray  # (H, F)
@@ -69,15 +71,63 @@ def models_equal(a: ModelParams, b: ModelParams) -> bool:
     )
 
 
+# Every parameter array of a model starts on a cache-line boundary. A
+# 500 x 4096 predict (H 64, K 100; one BLAS thread, x86-64) took 19-20 ms with
+# w1 at 0 or 32 mod 64 bytes and 22-23 ms at 16 or 48, with bit-identical
+# results; heap placement would leave that to luck.
+ALIGN = 64
+_UNIT = ALIGN // 8  # float64 elements per aligned unit
+
+
+def _block(f_dim: int, hidden: int, n_classes: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """One flat float64 block holding w1, b1, w2 and b2 in that order, each
+    starting on an ALIGN-byte boundary, and the four views into it.
+
+    The parameter values are left unset; the padding between arrays is zero,
+    so whole-block arithmetic on two blocks of one shape stays finite."""
+    shapes = ((hidden, f_dim), (hidden,), (n_classes, hidden), (n_classes,))
+    sizes = [math.prod(shape) for shape in shapes]
+    padded = [-(-size // _UNIT) * _UNIT for size in sizes]
+    total = sum(padded)
+    raw = np.empty(total + _UNIT)
+    start = -raw.ctypes.data % ALIGN // 8
+    flat = raw[start:start + total]
+    views, pos = [], 0
+    for shape, size, span in zip(shapes, sizes, padded):
+        views.append(flat[pos:pos + size].reshape(shape))
+        flat[pos + size:pos + span] = 0.0
+        pos += span
+    return flat, views
+
+
+def _in_block(w1: np.ndarray, b1: np.ndarray, w2: np.ndarray, b2: np.ndarray,
+              **meta) -> tuple[np.ndarray, ModelParams]:
+    """A model holding copies of the four arrays in one new block, and the block."""
+    flat, views = _block(w1.shape[1], w1.shape[0], w2.shape[0])
+    for view, a in zip(views, (w1, b1, w2, b2)):
+        view[...] = a
+    return flat, ModelParams(*views, **meta)
+
+
+def model_from_flat(values: np.ndarray, f_dim: int, hidden: int, n_classes: int,
+                    final_loss: float | None = None, seed: int | None = None) -> ModelParams:
+    """A model whose w1, b1, w2 and b2 are stored back to back in the 1-D
+    `values` (e.g. a view of a state file), copied into one aligned block."""
+    _, views = _block(f_dim, hidden, n_classes)
+    pos = 0
+    for view in views:
+        view.reshape(-1)[:] = values[pos:pos + view.size]
+        pos += view.size
+    return ModelParams(*views, final_loss=final_loss, seed=seed)
+
+
 def _init_from_rng(f_dim: int, hidden: int, n_classes: int, rng: np.random.Generator,
-                   weight_scale: float, seed: int | None = None) -> ModelParams:
-    return ModelParams(
-        w1=rng.uniform(-weight_scale, weight_scale, size=(hidden, f_dim)),
-        b1=np.zeros(hidden),
-        w2=rng.uniform(-weight_scale, weight_scale, size=(n_classes, hidden)),
-        b2=np.zeros(n_classes),
-        seed=seed,
-    )
+                   weight_scale: float, seed: int | None = None
+                   ) -> tuple[np.ndarray, ModelParams]:
+    return _in_block(rng.uniform(-weight_scale, weight_scale, size=(hidden, f_dim)),
+                     np.zeros(hidden),
+                     rng.uniform(-weight_scale, weight_scale, size=(n_classes, hidden)),
+                     np.zeros(n_classes), seed=seed)
 
 
 def init_model(f_dim: int, hidden: int, n_classes: int, seed: int = 0,
@@ -86,19 +136,24 @@ def init_model(f_dim: int, hidden: int, n_classes: int, seed: int = 0,
     if min(f_dim, hidden, n_classes) < 1:
         raise ValueError("all dimensions must be >= 1")
     return _init_from_rng(f_dim, hidden, n_classes, np.random.default_rng(seed),
-                          weight_scale, seed=seed)
+                          weight_scale, seed=seed)[1]
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    """Row-wise softmax, computed in place."""
+    logits -= logits.max(axis=1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=1, keepdims=True)
+    return logits
 
 
 def _forward(m: ModelParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    z1 = x @ m.w1.T + m.b1
+    z1 = x @ m.w1.T
+    z1 += m.b1
     a1 = np.maximum(z1, 0.0)
-    return z1, a1, _softmax(a1 @ m.w2.T + m.b2)
+    logits = a1 @ m.w2.T
+    logits += m.b2
+    return z1, a1, _softmax(logits)
 
 
 def predict(m: ModelParams, features: np.ndarray) -> np.ndarray:
@@ -125,88 +180,115 @@ class Gradients:
     b2: np.ndarray
 
 
+def _mean_nll(probs: np.ndarray, y: np.ndarray) -> float:
+    return float(-np.log(np.maximum(probs[np.arange(len(y)), y], 1e-300)).mean())
+
+
+def _backward(m: ModelParams, x: np.ndarray, z1: np.ndarray, a1: np.ndarray,
+              probs: np.ndarray, onehot: np.ndarray, g: Gradients) -> None:
+    """Write the gradients of the batch's mean cross-entropy into g.
+
+    z1, a1 and probs come from _forward(m, x); onehot holds the batch's
+    targets. probs is overwritten."""
+    dlogits = probs
+    dlogits -= onehot
+    dlogits /= x.shape[0]
+    np.matmul(dlogits.T, a1, out=g.w2)
+    dlogits.sum(axis=0, out=g.b2)
+    dz1 = dlogits @ m.w2
+    dz1 *= z1 > 0.0
+    np.matmul(dz1.T, x, out=g.w1)
+    dz1.sum(axis=0, out=g.b1)
+
+
+def _check_batch(features: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    x = np.asarray(features, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.int64)
+    if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:
+        raise ValueError(f"features {x.shape} and labels {y.shape} are not (n, F) and (n,)")
+    return x, y
+
+
 def loss_and_gradient(m: ModelParams, features: np.ndarray,
                       labels: np.ndarray) -> tuple[float, Gradients]:
     """Mean cross-entropy over the batch and exact analytic gradients.
 
     features: (n, F) batch, labels: (n,) class ids in [0, K).
     """
-    x = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
-    n = x.shape[0]
+    x, y = _check_batch(features, labels)
     if np.any(y < 0) or np.any(y >= m.n_classes):
         raise ValueError("label out of range")
     z1, a1, probs = _forward(m, x)
-    loss = float(-np.log(np.maximum(probs[np.arange(n), y], 1e-300)).mean())
-    dlogits = probs.copy()
-    dlogits[np.arange(n), y] -= 1.0
-    dlogits /= n
-    dw2 = dlogits.T @ a1
-    db2 = dlogits.sum(axis=0)
-    da1 = dlogits @ m.w2
-    dz1 = da1 * (z1 > 0.0)
-    dw1 = dz1.T @ x
-    db1 = dz1.sum(axis=0)
-    return loss, Gradients(w1=dw1, b1=db1, w2=dw2, b2=db2)
+    loss = _mean_nll(probs, y)
+    onehot = np.zeros_like(probs)
+    onehot[np.arange(len(y)), y] = 1.0
+    g = Gradients(*_block(m.feature_dim, m.hidden, m.n_classes)[1])
+    _backward(m, x, z1, a1, probs, onehot, g)
+    return loss, g
 
 
-def _sgd(m: ModelParams, x: np.ndarray, y: np.ndarray, cfg: TrainConfig,
-         rng: np.random.Generator) -> ModelParams:
-    w1, b1 = m.w1.copy(), m.b1.copy()
-    w2, b2 = m.w2.copy(), m.b2.copy()
+def _sgd(params: np.ndarray, m: ModelParams, x: np.ndarray, y: np.ndarray,
+         cfg: TrainConfig, rng: np.random.Generator) -> ModelParams:
+    """Minibatch SGD on m, whose arrays are views into the block `params`,
+    updated in place.
+
+    Bit-identical to taking loss_and_gradient(m, x[idx], y[idx]) each step
+    and subtracting learning_rate times each gradient: the step runs the same
+    _forward and _backward, writes the gradients into a block laid out like
+    `params`, and updates all four arrays with two whole-block ufuncs."""
     n = x.shape[0]
-    cur = ModelParams(w1, b1, w2, b2)
+    grads, views = _block(m.feature_dim, m.hidden, m.n_classes)
+    g = Gradients(*views)
+    onehot = np.empty((n, m.n_classes))
     for _ in range(cfg.epochs):
         perm = rng.permutation(n)
+        onehot.fill(0.0)
+        onehot[np.arange(n), y[perm]] = 1.0
         for start in range(0, n, cfg.batch_size):
-            idx = perm[start:start + cfg.batch_size]
-            _, g = loss_and_gradient(cur, x[idx], y[idx])
-            w1 -= cfg.learning_rate * g.w1
-            b1 -= cfg.learning_rate * g.b1
-            w2 -= cfg.learning_rate * g.w2
-            b2 -= cfg.learning_rate * g.b2
-    final, _ = loss_and_gradient(cur, x, y)
-    return ModelParams(w1, b1, w2, b2, final_loss=final, seed=cfg.seed)
+            stop = start + cfg.batch_size
+            xb = x[perm[start:stop]]
+            z1, a1, probs = _forward(m, xb)
+            _backward(m, xb, z1, a1, probs, onehot[start:stop], g)
+            grads *= cfg.learning_rate
+            params -= grads
+    final = _mean_nll(_forward(m, x)[2], y)
+    return ModelParams(m.w1, m.b1, m.w2, m.b2, final_loss=final, seed=cfg.seed)
 
 
-def _check_labels(labels: np.ndarray, n_classes: int) -> np.ndarray:
-    y = np.asarray(labels, dtype=np.int64)
+def _check_labels(y: np.ndarray, n_classes: int) -> None:
     present = np.unique(y)
     if np.any(present < 0) or np.any(present >= n_classes):
         raise ValueError("label out of range")
     missing = set(range(n_classes)) - set(int(c) for c in present)
     if missing:
         raise ValueError(f"classes without examples: {sorted(missing)}")
-    return y
 
 
 def train(features: np.ndarray, labels: np.ndarray, n_classes: int,
           cfg: TrainConfig) -> ModelParams:
     """Train a fresh model with seeded init and seeded minibatch shuffling.
 
-    Every class in [0, n_classes) must have at least one example.
+    features: (n, F), labels: (n,). Every class in [0, n_classes) must have
+    at least one example.
     """
-    x = np.asarray(features, dtype=np.float64)
-    y = _check_labels(labels, n_classes)
+    x, y = _check_batch(features, labels)
+    _check_labels(y, n_classes)
     rng = np.random.default_rng(cfg.seed)
-    m = _init_from_rng(x.shape[1], cfg.hidden, n_classes, rng, cfg.weight_scale)
-    return _sgd(m, x, y, cfg, rng)
+    params, m = _init_from_rng(x.shape[1], cfg.hidden, n_classes, rng, cfg.weight_scale)
+    return _sgd(params, m, x, y, cfg, rng)
 
 
 def fine_tune(m: ModelParams, features: np.ndarray, labels: np.ndarray,
               n_classes: int, cfg: TrainConfig) -> ModelParams:
     """Warm-started retraining: keep the body, replace the softmax head with
     a fresh one sized to the new class count, then train as usual."""
-    x = np.asarray(features, dtype=np.float64)
+    x, y = _check_batch(features, labels)
     if x.shape[1] != m.feature_dim:
         raise ValueError(f"feature dimension {x.shape[1]} != model input {m.feature_dim}")
-    y = _check_labels(labels, n_classes)
+    _check_labels(y, n_classes)
     rng = np.random.default_rng(cfg.seed)
-    warm = ModelParams(
-        w1=m.w1.copy(),
-        b1=m.b1.copy(),
-        w2=rng.uniform(-cfg.weight_scale, cfg.weight_scale, size=(n_classes, m.hidden)),
-        b2=np.zeros(n_classes),
-    )
-    return _sgd(warm, x, y, cfg, rng)
-
+    params, warm = _in_block(
+        m.w1, m.b1,
+        rng.uniform(-cfg.weight_scale, cfg.weight_scale, size=(n_classes, m.hidden)),
+        np.zeros(n_classes))
+    return _sgd(params, warm, x, y, cfg, rng)

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .classify import ModelParams, TrainConfig, fine_tune, predict, train
+from .classify import TrainConfig, fine_tune, model_from_flat, predict, train
 from .core import (
     ClassifierRecord,
     ClassSummary,
@@ -157,7 +157,7 @@ def run_vpc(state: EnsembleState, queries: Sequence[MappedImage],
         raise ValueError("no trained classifiers available for VPC")
     if not queries:
         return []
-    features = np.stack([np.asarray(q.feature, dtype=np.float64) for q in queries])
+    features = np.stack([q.feature for q in queries], dtype=np.float64)
     records = [state.classifiers[j] for j in slots]
     probs = np.concatenate([predict(rec.model, features) for rec in records], axis=1)
     return fused_results(probs, top_x(probs, cfg.fusion_x), slots,
@@ -191,8 +191,10 @@ def _pack_viewpoint(vp: Viewpoint) -> bytes:
     return struct.pack("<3d", vp.x, vp.y, vp.theta)
 
 
-def _pack_array(a: np.ndarray) -> bytes:
-    return np.ascontiguousarray(a, dtype="<f8").tobytes()
+def _pack_array(a: np.ndarray) -> np.ndarray:
+    # The array itself when it is already contiguous little-endian float64:
+    # bytes.join copies it once, with no intermediate bytes object.
+    return np.ascontiguousarray(a, dtype="<f8")
 
 
 def _serialize(state: EnsembleState) -> bytes:
@@ -230,7 +232,7 @@ def _serialize(state: EnsembleState) -> bytes:
 
 
 class _Reader:
-    def __init__(self, blob: bytes):
+    def __init__(self, blob: bytes | memoryview):
         self.blob = blob
         self.pos = 0
 
@@ -242,25 +244,27 @@ class _Reader:
         self.pos += s.size
         return vals
 
-    def raw(self, n: int) -> bytes:
+    def raw(self, n: int) -> bytes | memoryview:
         if self.pos + n > len(self.blob):
             raise StateFormatError("truncated state payload")
         out = self.blob[self.pos:self.pos + n]
         self.pos += n
         return out
 
-    def array(self, shape: tuple[int, ...]) -> np.ndarray:
-        # Python ints: a product of crafted u32 dimensions cannot wrap, and
-        # raw() refuses it before anything is allocated.
-        count = math.prod(shape)
-        return np.frombuffer(self.raw(8 * count), dtype="<f8").reshape(shape).copy()
+    def floats(self, count: int) -> np.ndarray:
+        """A read-only view of the next `count` little-endian float64 values."""
+        if self.pos + 8 * count > len(self.blob):
+            raise StateFormatError("truncated state payload")
+        out = np.frombuffer(self.blob, dtype="<f8", count=count, offset=self.pos)
+        self.pos += 8 * count
+        return out
 
     def viewpoint(self) -> Viewpoint:
         x, y, theta = self.take("<3d")
         return Viewpoint(x, y, theta)
 
 
-def _deserialize(blob: bytes) -> EnsembleState:
+def _deserialize(blob: bytes | memoryview) -> EnsembleState:
     r = _Reader(blob)
     mission, capacity, n_records = r.take("<QQI")
     records = []
@@ -274,15 +278,15 @@ def _deserialize(blob: bytes) -> EnsembleState:
             f_dim, hidden, n_classes = r.take("<III")
             if min(f_dim, hidden, n_classes) < 1:
                 raise StateFormatError("model dimensions must be >= 1")
-            w1 = r.array((hidden, f_dim))
-            b1 = r.array((hidden,))
-            w2 = r.array((n_classes, hidden))
-            b2 = r.array((n_classes,))
+            # w1, b1, w2, b2 back to back. Python ints: a product of crafted
+            # u32 dimensions cannot wrap, and floats() checks the length
+            # before anything is allocated.
+            params = r.floats(hidden * f_dim + hidden + n_classes * hidden + n_classes)
             has_loss, loss = r.take("<Bd")
             has_seed, seed = r.take("<Bq")
-            model = ModelParams(w1, b1, w2, b2,
-                                final_loss=loss if has_loss else None,
-                                seed=seed if has_seed else None)
+            model = model_from_flat(params, f_dim, hidden, n_classes,
+                                    final_loss=loss if has_loss else None,
+                                    seed=seed if has_seed else None)
         (has_partition,) = r.take("<B")
         partition = None
         if has_partition:
@@ -349,7 +353,7 @@ def load_state(path) -> EnsembleState:
         raise StateFormatError(f"{path}: bad magic {magic!r}")
     if version != STATE_VERSION:
         raise StateFormatError(f"{path}: unsupported version {version}")
-    payload = blob[_HEADER.size:]
+    payload = memoryview(blob)[_HEADER.size:]
     if len(payload) != length:
         raise StateFormatError(f"{path}: payload length {len(payload)} != header {length}")
     if hashlib.sha256(payload).digest() != digest:

@@ -207,3 +207,30 @@ def test_fine_tune_warm_start_beats_scratch_on_most_seeds():
         warm = fine_tune(scratch, x, y, 4, cfg)
         wins += warm.final_loss <= scratch.final_loss
     assert wins >= 8
+
+
+# (rows of features, labels): shapes that train, fine_tune and
+# loss_and_gradient refuse before any work.
+BAD_SHAPES = {
+    "more-labels-than-rows": (np.zeros((4, 3)), np.array([0, 1, 2, 0, 1])),
+    "fewer-labels-than-rows": (np.zeros((4, 3)), np.array([0, 1, 2])),
+    "2d-labels": (np.zeros((4, 3)), np.array([[0], [1], [2], [0]])),
+    "1d-features": (np.zeros(3), np.array([0, 1, 2])),
+}
+
+
+def _call(fn, features, labels):
+    model = init_model(3, 4, 3, seed=0)
+    cfg = TrainConfig(epochs=2, batch_size=2)
+    if fn == "train":
+        return train(features, labels, 3, cfg)
+    if fn == "fine_tune":
+        return fine_tune(model, features, labels, 3, cfg)
+    return loss_and_gradient(model, features, labels)
+
+
+@pytest.mark.parametrize("fn", ["train", "fine_tune", "loss_and_gradient"])
+@pytest.mark.parametrize("shape", sorted(BAD_SHAPES))
+def test_training_inputs_of_the_wrong_shape_raise_value_error(fn, shape):
+    with pytest.raises(ValueError, match="are not"):
+        _call(fn, *BAD_SHAPES[shape])

@@ -68,3 +68,20 @@ def test_perfbench_reads_the_season_shapes_it_needs(monkeypatch):
     assert sum(sizes) == len(train)
     assert spans._count_partition(None, part) == {"classes": len(sizes),
                                                   "singletons": sizes.count(1)}
+
+
+def test_traced_training_spans_carry_their_counts(monkeypatch):
+    # spans.py unpacks train's and fine_tune's positional arguments to count
+    # their SGD steps and flops; a signature change must fail here.
+    spans = _perfbench_module(monkeypatch, "spans")
+    seasons = synth_generate(SynthConfig(n_places=4, loop_length=80.0, images_per_place=2,
+                                         feature_dim=5, n_seasons=3, seed=1))
+    cfg = MissionConfig(strategy=StrategyConfig("ST1"), capacity=1,
+                        train=TrainConfig(epochs=2, hidden=4))
+    tracer = spans.Tracer()
+    with tracer.patched(missions):
+        state = run_adaptation(initial_state(1), seasons[0], cfg)
+        run_adaptation(state, seasons[1], cfg)
+    counts = {name: c for _sid, _parent, _trace, _rep, name, _start, _end, c in tracer.spans}
+    for name in ("classify.train", "classify.fine_tune"):
+        assert counts[name]["sgd_steps"] > 0 and counts[name]["gflop"] > 0, name

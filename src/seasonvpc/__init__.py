@@ -45,8 +45,6 @@ from .placedef import (
     partition_by_location,
     partition_incremental,
     partition_location_appearance,
-    search_t_d,
-    t_d_candidates,
 )
 from .classify import (
     ModelParams,

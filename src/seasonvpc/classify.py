@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import require_integers
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -23,10 +25,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        require_integers(self, "epochs", "batch_size", "hidden", "seed")
         if self.learning_rate <= 0 or self.batch_size < 1 or self.hidden < 1:
             raise ValueError("learning_rate, batch_size and hidden must be positive")
-        if self.epochs < 0 or self.weight_scale < 0:
-            raise ValueError("epochs and weight_scale must be non-negative")
+        if self.epochs < 0 or self.weight_scale < 0 or self.seed < 0:
+            raise ValueError("epochs, weight_scale and seed must be non-negative")
         if not (math.isfinite(self.learning_rate) and math.isfinite(self.weight_scale)):
             raise ValueError("learning_rate and weight_scale must be finite")
 

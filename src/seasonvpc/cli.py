@@ -10,14 +10,15 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import report
 from .classify import TrainConfig
-from .core import TrainingSet
+from .core import TrainingSet, require_integers
 from .data import DataError, SynthConfig, load_bundle, load_manifest, synth_generate
 from .missions import (
+    SUCCESS_MODES,
     MissionConfig,
     initial_state,
     queries_from_set,
@@ -26,8 +27,8 @@ from .missions import (
     save_state,
     success_ratio,
 )
-from .placedef import PartitionConfig, build_partition, incremental_margins
-from .sched import Schedule, StrategyConfig, evolve_schedule
+from .placedef import PARTITION_METHODS, PartitionConfig, build_partition, incremental_margins
+from .sched import STRATEGY_KINDS, Schedule, StrategyConfig, evolve_schedule
 
 log = logging.getLogger("seasonvpc")
 
@@ -40,110 +41,104 @@ class UsageError(Exception):
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Everything one `run` needs: data source, mission config, protocol."""
+    """Everything one `run` needs beyond its MissionConfig: how many missions,
+    the seed of synthesis and training, the data source and the protocol."""
 
+    mission: MissionConfig
     missions: int = 4
     seed: int = 0
-    synth: SynthConfig | None = None
+    synth: SynthConfig = SynthConfig()
     manifest: str | None = None
-    strategy: StrategyConfig = StrategyConfig(kind="ST2", n_bar=1)
-    partition: PartitionConfig = PartitionConfig()
-    train: TrainConfig = TrainConfig()
-    fusion_x: int = 10
-    capacity: int = 4
-    error_thresholds: tuple[float, ...] = (10.0, 20.0)
-    mode: str = "rank1"
     protocol: str = "next-season"
 
     def __post_init__(self) -> None:
+        require_integers(self, "missions")
         if self.missions < 1:
-            raise UsageError("need at least one mission (two seasons)")
+            raise ValueError("need at least one mission (two seasons)")
+        if self.manifest is not None and not isinstance(self.manifest, str):
+            raise TypeError(f"manifest must be a path string, got {self.manifest!r}")
         if self.protocol not in PROTOCOLS:
-            raise UsageError(f"unknown protocol {self.protocol!r}")
+            raise ValueError(f"unknown protocol {self.protocol!r}")
 
 
-def _strategy_from_doc(doc: dict) -> StrategyConfig:
+# Without --spec, `run` uses this document: the TrainConfig defaults underfit
+# the synthetic demo's feature scale, so it trains harder.
+_DEMO_SPEC = {"train": {"learning_rate": 0.5, "epochs": 60}}
+_SECTIONS = ("strategy", "partition", "train", "synth")
+_DEFAULT_STRATEGY = {"kind": "ST2", "n_bar": 1}  # a strategy section overrides its keys
+# Top-level spec keys passed to MissionConfig, by its field names.
+_MISSION_KEYS = {"fusion_x": "fusion_x", "capacity": "capacity",
+                 "error_thresholds": "error_thresholds", "mode": "success_mode"}
+# Each `run` flag and the spec key it overrides: (section, key), None the top level.
+_RUN_FLAGS = {"seed": (None, "seed"), "missions": (None, "missions"),
+              "strategy": ("strategy", "kind"), "nbar": ("strategy", "n_bar"),
+              "kbar": ("strategy", "k_bar"), "upd": ("partition", "method"),
+              "td": ("partition", "t_d"), "x": (None, "fusion_x"),
+              "capacity": (None, "capacity"), "error": (None, "error_thresholds"),
+              "mode": (None, "mode"), "protocol": (None, "protocol")}
+
+
+def _build_spec(doc, args: argparse.Namespace | None = None, where: str = "flags",
+               base: Path | None = None) -> ExperimentSpec:
+    """The one ExperimentSpec for a spec document with `args`' run flags
+    written over it. Every bad value is a UsageError; a relative manifest
+    path is resolved against `base`."""
+    if not isinstance(doc, dict):
+        raise UsageError(f"{where}: a spec must be a JSON object")
+    doc = dict(doc)
+    for name in _SECTIONS:
+        if not isinstance(doc.get(name, {}), dict):
+            raise UsageError(f"{where}: {name} must be a JSON object")
+        doc[name] = dict(doc.get(name, {}))
+    doc["strategy"] = {**_DEFAULT_STRATEGY, **doc["strategy"]}
+    for flag, (section, key) in _RUN_FLAGS.items():
+        if getattr(args, flag, None) is not None:
+            (doc[section] if section else doc)[key] = getattr(args, flag)
+    for section, key in (("train", "seed"), ("synth", "seed"), ("synth", "n_seasons")):
+        if key in doc[section]:
+            raise UsageError(f"{where}: {section}.{key} is not a spec key: the top-level "
+                             "seed and missions set the seeds and the season count")
+    if base is not None and isinstance(doc.get("manifest"), str):
+        doc["manifest"] = str(base / doc["manifest"])
+    sections = {name: doc.pop(name) for name in _SECTIONS}
+    seed = doc.get("seed", ExperimentSpec.seed)
     try:
-        return StrategyConfig(
-            kind=doc.get("kind", "ST2"),
-            n_bar=doc.get("n_bar"),
-            k_bar=doc.get("k_bar"),
-            st3_filter=doc.get("st3_filter", True),
+        mission = MissionConfig(
+            strategy=StrategyConfig(**sections["strategy"]),
+            partition=PartitionConfig(**sections["partition"]),
+            train=TrainConfig(**sections["train"], seed=seed),
+            **{field: doc.pop(key) for key, field in _MISSION_KEYS.items() if key in doc},
         )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        return ExperimentSpec(mission, synth=SynthConfig(**sections["synth"], seed=seed), **doc)
+    except (TypeError, ValueError, OverflowError) as exc:  # an int too large for a float
+        raise UsageError(f"{where}: bad config value: {exc}") from exc
 
 
-def load_experiment_spec(path: str | None) -> ExperimentSpec:
-    """Build an ExperimentSpec from a JSON file (or defaults when absent)."""
+def load_experiment_spec(path: str | None, args: argparse.Namespace | None = None
+                         ) -> ExperimentSpec:
+    """Build the ExperimentSpec of a spec file (the demo spec when `path` is
+    None) with `args`' run flags applied on top."""
     if path is None:
-        # built-in synthetic demo; the conservative TrainConfig defaults
-        # underfit the demo's feature scale, so pick a stronger setting here
-        return ExperimentSpec(synth=None, train=TrainConfig(learning_rate=0.5, epochs=60))
+        return _build_spec(_DEMO_SPEC, args)
     try:
         doc = json.loads(Path(path).read_text())
     except OSError as exc:
         raise DataError(f"cannot read spec file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, bad or too deeply nested JSON
         raise DataError(f"{path}: invalid JSON: {exc}") from exc
-    try:
-        spec = ExperimentSpec(
-            missions=int(doc.get("missions", 4)),
-            seed=int(doc.get("seed", 0)),
-            synth=SynthConfig(**doc["synth"]) if "synth" in doc else None,
-            manifest=doc.get("manifest"),
-            strategy=_strategy_from_doc(doc.get("strategy", {"kind": "ST2", "n_bar": 1})),
-            partition=PartitionConfig(**doc.get("partition", {})),
-            train=TrainConfig(**doc.get("train", {})),
-            fusion_x=int(doc.get("fusion_x", 10)),
-            capacity=int(doc.get("capacity", 4)),
-            error_thresholds=tuple(doc.get("error_thresholds", (10.0, 20.0))),
-            mode=doc.get("mode", "rank1"),
-            protocol=doc.get("protocol", "next-season"),
-        )
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"{path}: bad spec value: {exc}") from exc
-    if spec.manifest is not None:
-        # Manifest paths are relative to the spec file.
-        spec = replace(spec, manifest=str((Path(path).parent / spec.manifest)))
-    return spec
+    return _build_spec(doc, args, path, Path(path).parent)
 
 
-def _apply_overrides(spec: ExperimentSpec, args: argparse.Namespace) -> ExperimentSpec:
-    try:
-        if args.seed is not None:
-            spec = replace(spec, seed=args.seed)
-        if args.strategy or args.nbar is not None or args.kbar is not None:
-            kind = args.strategy or spec.strategy.kind
-            n_bar = args.nbar if args.nbar is not None else spec.strategy.n_bar
-            k_bar = args.kbar if args.kbar is not None else spec.strategy.k_bar
-            spec = replace(
-                spec,
-                strategy=StrategyConfig(kind=kind, n_bar=n_bar, k_bar=k_bar,
-                                        st3_filter=spec.strategy.st3_filter),
-            )
-        part = spec.partition
-        if args.upd:
-            part = replace(part, method=args.upd)
-        if args.td is not None:
-            part = replace(part, t_d=args.td)
-        if part is not spec.partition:
-            spec = replace(spec, partition=part)
-        if args.x is not None:
-            spec = replace(spec, fusion_x=args.x)
-        if args.capacity is not None:
-            spec = replace(spec, capacity=args.capacity)
-        if args.error:
-            spec = replace(spec, error_thresholds=tuple(args.error))
-        if args.mode:
-            spec = replace(spec, mode=args.mode)
-        if args.protocol:
-            spec = replace(spec, protocol=args.protocol)
-        if args.missions is not None:
-            spec = replace(spec, missions=args.missions)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    return spec
+def _check_kbar(strategy: StrategyConfig, n_missions: int) -> None:
+    if strategy.kind == "ST3" and strategy.k_bar > n_missions:
+        raise UsageError(f"k_bar {strategy.k_bar} exceeds the number of missions {n_missions}")
+
+
+def _check_k(partition: PartitionConfig, seasons) -> None:
+    """k-means needs at least k images in every season it partitions."""
+    n = min(len(s) for s in seasons)
+    if partition.method == "location-appearance" and partition.k is not None and partition.k > n:
+        raise UsageError(f"partition k={partition.k} exceeds the {n} images of a season")
 
 
 def _load_seasons(spec: ExperimentSpec) -> list[TrainingSet]:
@@ -156,31 +151,16 @@ def _load_seasons(spec: ExperimentSpec) -> list[TrainingSet]:
         if [t.season_id for t in seasons] != list(range(1, len(seasons) + 1)):
             raise DataError(f"{spec.manifest}: season_ids must be contiguous starting at 1")
         return seasons
-    synth = spec.synth if spec.synth is not None else SynthConfig()
-    synth = replace(synth, n_seasons=spec.missions + 1, seed=spec.seed)
-    return synth_generate(synth)
+    return synth_generate(replace(spec.synth, n_seasons=spec.missions + 1))
 
 
 def run_experiment(spec: ExperimentSpec, out_dir: Path) -> dict:
     """Execute missions 1..n, evaluate VPC per protocol, write all reports."""
+    cfg, label = spec.mission, spec.mission.strategy.label()
     seasons = _load_seasons(spec)
     n_missions = min(spec.missions, len(seasons) - 1)
-    if spec.strategy.kind == "ST3" and spec.strategy.k_bar > n_missions:
-        raise UsageError(
-            f"k_bar {spec.strategy.k_bar} exceeds the number of missions {n_missions}"
-        )
-    try:
-        cfg = MissionConfig(
-            strategy=spec.strategy,
-            partition=spec.partition,
-            train=replace(spec.train, seed=spec.seed),
-            fusion_x=spec.fusion_x,
-            capacity=spec.capacity,
-            error_thresholds=spec.error_thresholds,
-            success_mode=spec.mode,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    _check_kbar(cfg.strategy, n_missions)
+    _check_k(cfg.partition, seasons[:n_missions])
     out_dir.mkdir(parents=True, exist_ok=True)
     state = initial_state(cfg.capacity)
     rows: list[dict] = []
@@ -198,16 +178,8 @@ def run_experiment(spec: ExperimentSpec, out_dir: Path) -> dict:
             ratio = success_ratio(results, queries, err, cfg.success_mode)
             ratios[f"{err:g}"] = ratio
             series[f"error={err:g}m"].append((i, ratio))
-            rows.append(
-                {
-                    "mission": i,
-                    "strategy": spec.strategy.label(),
-                    "upd": spec.partition.method,
-                    "error": err,
-                    "mode": cfg.success_mode,
-                    "success_ratio": ratio,
-                }
-            )
+            rows.append({"mission": i, "strategy": label, "upd": cfg.partition.method,
+                         "error": err, "mode": cfg.success_mode, "success_ratio": ratio})
         per_mission.append(
             {
                 "mission": i,
@@ -220,20 +192,17 @@ def run_experiment(spec: ExperimentSpec, out_dir: Path) -> dict:
         )
         log.info("mission %d: %s", i, " ".join(f"{k}m={v:.3f}" for k, v in ratios.items()))
     schedule = Schedule(tuple(c.history for c in state.classifiers))
-    report.write_text(out_dir / "results.csv", report.results_csv(rows))
-    report.write_text(out_dir / "schedule.csv", report.schedule_csv(schedule))
-    report.write_text(out_dir / "schedule.svg",
-                      report.schedule_svg(schedule, title=spec.strategy.label()))
-    report.write_text(
-        out_dir / "success.svg",
-        report.success_svg(series, title=f"{spec.strategy.label()} upd:{spec.partition.method}"),
-    )
+    (out_dir / "results.csv").write_text(report.results_csv(rows))
+    (out_dir / "schedule.csv").write_text(report.schedule_csv(schedule))
+    (out_dir / "schedule.svg").write_text(report.schedule_svg(schedule, title=label))
+    (out_dir / "success.svg").write_text(
+        report.success_svg(series, title=f"{label} upd:{cfg.partition.method}"))
     save_state(state, out_dir / "state.svpc")
     summary = {
-        "strategy": spec.strategy.label(),
-        "upd": spec.partition.method,
+        "strategy": label,
+        "upd": cfg.partition.method,
         "protocol": spec.protocol,
-        "mode": spec.mode,
+        "mode": cfg.success_mode,
         "seed": spec.seed,
         "missions": per_mission,
     }
@@ -241,67 +210,56 @@ def run_experiment(spec: ExperimentSpec, out_dir: Path) -> dict:
     return summary
 
 
-def _load_single_dataset(args: argparse.Namespace) -> TrainingSet:
-    if args.manifest:
-        f_dim, bundles = load_manifest(args.manifest)
-        wanted = args.season if args.season is not None else bundles[0].season_id
-        for b in bundles:
-            if b.season_id == wanted:
-                return load_bundle(b, f_dim)
-        raise DataError(f"{args.manifest}: no season {wanted}")
-    synth = SynthConfig(seed=args.seed if args.seed is not None else 0)
-    return synth_generate(synth)[0]
+def _given(**values) -> dict:
+    """The flags that were given, so that the config types' defaults apply."""
+    return {name: value for name, value in values.items() if value is not None}
 
 
 def cmd_run(args: argparse.Namespace) -> None:
-    spec = _apply_overrides(load_experiment_spec(args.spec), args)
-    summary = run_experiment(spec, Path(args.out))
+    summary = run_experiment(load_experiment_spec(args.spec, args), Path(args.out))
     print(f"wrote reports for {len(summary['missions'])} missions to {args.out}")
 
 
 def cmd_placedef(args: argparse.Namespace) -> None:
-    train = _load_single_dataset(args)
     try:
-        cfg = PartitionConfig(
-            method=args.upd,
-            t_d=args.td if args.td is not None else 18.0,
-            k=args.k,
-            seed=args.seed if args.seed is not None else 0,
-        )
+        cfg = PartitionConfig(**_given(method=args.upd, t_d=args.td, k=args.k, seed=args.seed))
+        synth = SynthConfig(**_given(seed=args.seed))
     except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        raise UsageError(f"bad config value: {exc}") from exc
+    if args.manifest:
+        f_dim, bundles = load_manifest(args.manifest)
+        wanted = args.season if args.season is not None else bundles[0].season_id
+        matches = [b for b in bundles if b.season_id == wanted]
+        if not matches:
+            raise DataError(f"{args.manifest}: no season {wanted}")
+        train = load_bundle(matches[0], f_dim)
+    else:
+        train = synth_generate(synth)[0]
+    _check_k(cfg, [train])
     partition = build_partition(train, cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    report.write_text(out_dir / "partition.csv", report.partition_csv(partition))
-    report.write_text(out_dir / "partition.svg", report.partition_svg(train, partition))
+    (out_dir / "partition.csv").write_text(report.partition_csv(partition))
+    (out_dir / "partition.svg").write_text(report.partition_svg(train, partition))
     if cfg.method == "incremental":
         rows = incremental_margins(train, partition)
-        report.write_text(out_dir / "insertions.csv", report.margins_csv(rows))
+        (out_dir / "insertions.csv").write_text(report.margins_csv(rows))
     print(f"{len(partition.classes)} place classes over {len(train)} images "
           f"({cfg.method}) -> {out_dir}")
 
 
 def cmd_schedule(args: argparse.Namespace) -> None:
-    try:
-        strategy = StrategyConfig(kind=args.strategy or "ST1", n_bar=args.nbar, k_bar=args.kbar)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    missions = args.missions if args.missions is not None else 4
-    capacity = args.capacity if args.capacity is not None else 4
-    if missions < 1:
-        raise UsageError("need at least one mission")
-    if strategy.kind == "ST3" and strategy.k_bar > missions:
-        raise UsageError(f"k_bar {strategy.k_bar} exceeds the number of missions {missions}")
-    schedule = evolve_schedule(strategy, missions, capacity)
+    spec = _build_spec({}, args)
+    strategy = spec.mission.strategy
+    _check_kbar(strategy, spec.missions)
+    schedule = evolve_schedule(strategy, spec.missions, spec.mission.capacity)
     print(strategy.label())
     print(report.schedule_text(schedule))
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        report.write_text(out_dir / "schedule.csv", report.schedule_csv(schedule))
-        report.write_text(out_dir / "schedule.svg",
-                          report.schedule_svg(schedule, title=strategy.label()))
+        (out_dir / "schedule.csv").write_text(report.schedule_csv(schedule))
+        (out_dir / "schedule.svg").write_text(report.schedule_svg(schedule, title=strategy.label()))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -339,23 +297,22 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--out", required=True, help="output directory")
     run_p.add_argument("--seed", type=int)
     run_p.add_argument("--missions", type=int)
-    run_p.add_argument("--strategy", choices=("ST1", "ST2", "ST3"))
+    run_p.add_argument("--strategy", choices=STRATEGY_KINDS)
     run_p.add_argument("--nbar", type=int)
     run_p.add_argument("--kbar", type=int)
-    run_p.add_argument("--upd", choices=("location", "location-appearance", "incremental"))
+    run_p.add_argument("--upd", choices=PARTITION_METHODS)
     run_p.add_argument("--td", type=float)
     run_p.add_argument("--x", type=int, help="fusion list length")
     run_p.add_argument("--capacity", type=int)
     run_p.add_argument("--error", type=float, nargs="+", help="error thresholds in meters")
-    run_p.add_argument("--mode", choices=("rank1", "topx"))
+    run_p.add_argument("--mode", choices=SUCCESS_MODES)
     run_p.add_argument("--protocol", choices=PROTOCOLS)
     run_p.set_defaults(func=cmd_run)
 
     pd_p = sub.add_parser("placedef", help="partition one season into place classes")
     pd_p.add_argument("--manifest", help="dataset manifest JSON (default: synthetic demo)")
     pd_p.add_argument("--season", type=int, help="season id within the manifest")
-    pd_p.add_argument("--upd", default="location",
-                      choices=("location", "location-appearance", "incremental"))
+    pd_p.add_argument("--upd", choices=PARTITION_METHODS)
     pd_p.add_argument("--td", type=float)
     pd_p.add_argument("--k", type=int)
     pd_p.add_argument("--seed", type=int)
@@ -363,7 +320,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pd_p.set_defaults(func=cmd_placedef)
 
     sc_p = sub.add_parser("schedule", help="print/export a retraining schedule grid")
-    sc_p.add_argument("--strategy", choices=("ST1", "ST2", "ST3"), required=True)
+    sc_p.add_argument("--strategy", choices=STRATEGY_KINDS, required=True)
     sc_p.add_argument("--nbar", type=int)
     sc_p.add_argument("--kbar", type=int)
     sc_p.add_argument("--missions", type=int)

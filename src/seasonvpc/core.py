@@ -10,6 +10,7 @@ across concurrent readers.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from collections.abc import Sequence
 from typing import TYPE_CHECKING
@@ -20,6 +21,18 @@ if TYPE_CHECKING:
     from .classify import ModelParams
 
 TAU = 2.0 * math.pi
+
+
+def require_integers(config, *names: str) -> None:
+    """Raise TypeError naming the first of `config`'s fields `names` that holds
+    neither None nor an integer (`operator.index`, so numpy integers pass)."""
+    for name in names:
+        value = getattr(config, name)
+        if value is not None:
+            try:
+                operator.index(value)
+            except TypeError:
+                raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 def normalize_angle(theta: float) -> float:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import TrainingSet, Viewpoint
+from .core import TrainingSet, Viewpoint, require_integers
 
 FEATURE_MAGIC = b"FVEC"
 FEATURE_VERSION = 1
@@ -218,8 +218,10 @@ class SynthConfig:
     pose_jitter: float = 0.25
 
     def __post_init__(self) -> None:
-        if min(self.n_places, self.images_per_place, self.feature_dim, self.n_seasons) < 1:
-            raise ValueError("counts must be >= 1")
+        require_integers(self, "n_places", "images_per_place", "feature_dim", "n_seasons", "seed")
+        counts = (self.n_places, self.images_per_place, self.feature_dim, self.n_seasons)
+        if min(counts) < 1 or self.seed < 0:
+            raise ValueError("counts must be >= 1 and seed >= 0")
         if self.loop_length <= 0:
             raise ValueError("loop_length must be positive")
         magnitudes = (self.place_signal, self.season_drift, self.noise, self.pose_jitter)

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 import os
 import struct
 from dataclasses import dataclass, replace
@@ -25,6 +26,7 @@ from .core import (
     TrainingSet,
     Viewpoint,
     membership_labels,
+    require_integers,
     viewpoint_distance,
 )
 # fuse is not called here; it stays importable from this module next to the
@@ -39,6 +41,7 @@ _HEADER = struct.Struct("<4sIQ32s")  # magic, version, payload length, sha256
 
 # Slots per ensemble; _slot_seed keeps seeds distinct only up to this many.
 MAX_CAPACITY = 100
+SUCCESS_MODES = ("rank1", "topx")
 
 PARTITION_METHOD_CODES = {"location": 0, "location-appearance": 1, "incremental": 2}
 _METHOD_BY_CODE = {v: k for k, v in PARTITION_METHOD_CODES.items()}
@@ -59,14 +62,17 @@ class MissionConfig:
     success_mode: str = "rank1"
 
     def __post_init__(self) -> None:
+        require_integers(self, "fusion_x", "capacity")
         if self.fusion_x < 1 or self.capacity < 1:
             raise ValueError("fusion_x and capacity must be >= 1")
         if self.capacity > MAX_CAPACITY:
             raise ValueError(f"capacity must be <= {MAX_CAPACITY}")
-        if not self.error_thresholds or not all(
-                math.isfinite(t) and t > 0 for t in self.error_thresholds):
-            raise ValueError("error thresholds must be positive and finite")
-        if self.success_mode not in ("rank1", "topx"):
+        thresholds = self.error_thresholds
+        if not isinstance(thresholds, (list, tuple)) or not thresholds or not all(
+                isinstance(t, numbers.Real) and math.isfinite(t) and t > 0 for t in thresholds):
+            raise ValueError("error_thresholds must be positive and finite numbers")
+        object.__setattr__(self, "error_thresholds", tuple(thresholds))
+        if self.success_mode not in SUCCESS_MODES:
             raise ValueError("success_mode must be rank1 or topx")
 
 
@@ -170,7 +176,7 @@ def success_ratio(results: Sequence[FusedResult], queries: Sequence[MappedImage]
     of ground truth (rank-1 candidate, or any candidate for mode "topx")."""
     if not results or len(results) != len(queries):
         raise ValueError("results and queries must be non-empty and aligned")
-    if mode not in ("rank1", "topx"):
+    if mode not in SUCCESS_MODES:
         raise ValueError("mode must be rank1 or topx")
     hits = 0
     for res, q in zip(results, queries):

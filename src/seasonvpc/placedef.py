@@ -9,7 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import PlaceClass, PlacePartition, TrainingSet, angle_difference, path_length
+from .core import (PlaceClass, PlacePartition, TrainingSet, angle_difference, path_length,
+                   require_integers)
 
 PARTITION_METHODS = ("location", "location-appearance", "incremental")
 
@@ -26,14 +27,15 @@ class PartitionConfig:
     feat_max: float = 0.8
 
     def __post_init__(self) -> None:
+        require_integers(self, "k", "kmeans_iters", "seed")
         if self.method not in PARTITION_METHODS:
             raise ValueError(f"unknown partition method {self.method!r}")
         if self.t_d <= 0:
             raise ValueError("t_d must be positive")
         if self.k is not None and self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.kmeans_iters < 1:
-            raise ValueError("kmeans_iters must be >= 1")
+        if self.kmeans_iters < 1 or self.seed < 0:
+            raise ValueError("kmeans_iters must be >= 1 and seed >= 0")
         if min(self.pos_max, self.ang_max, self.feat_max) <= 0:
             raise ValueError("incremental thresholds must be positive")
         if not all(map(math.isfinite, (self.t_d, self.pos_max, self.ang_max, self.feat_max))):
@@ -52,8 +54,8 @@ class ClusterAssignment:
 
 def default_k(n_images: int, t_d: float) -> int:
     # Appearance clusters are coarser than places: expected location-class
-    # count (images ~3 m apart) divided by 4.
-    return max(1, math.ceil(n_images * 3.0 / t_d / 4.0))
+    # count (images ~3 m apart) divided by 4, and never more than the images.
+    return min(n_images, max(1, math.ceil(n_images * 3.0 / t_d / 4.0)))
 
 
 def build_partition(train: TrainingSet, cfg: PartitionConfig) -> PlacePartition:
@@ -237,21 +239,3 @@ def incremental_margins(train: TrainingSet, partition: PlacePartition) -> list[d
             )
     return rows
 
-
-def t_d_candidates(bound: float) -> list[float]:
-    """The 3-meter grid of travel-distance candidates up to `bound`."""
-    return [3.0 * i for i in range(1, int(bound // 3) + 1)]
-
-
-def search_t_d(train: TrainingSet, candidates, scorer) -> float:
-    """Pick the travel-distance quantum whose location partition scores best;
-    ties go to the smallest candidate."""
-    cands = sorted(candidates)
-    if not cands:
-        raise ValueError("empty candidate set")
-    best_t, best_s = None, None
-    for t in cands:
-        s = scorer(partition_by_location(train, t))
-        if best_s is None or s > best_s:
-            best_t, best_s = t, s
-    return best_t

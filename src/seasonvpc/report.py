@@ -4,7 +4,6 @@ deterministic, diffable."""
 from __future__ import annotations
 
 import colorsys
-from pathlib import Path
 from typing import Sequence
 
 from .core import PlacePartition, TrainingSet, membership_labels
@@ -19,10 +18,6 @@ def class_color(class_id: int) -> str:
     hue = (class_id * 0.618033988749895) % 1.0
     r, g, b = colorsys.hsv_to_rgb(hue, 0.65, 0.85)
     return f"#{int(r * 255):02x}{int(g * 255):02x}{int(b * 255):02x}"
-
-
-def write_text(path, text: str) -> None:
-    Path(path).write_text(text)
 
 
 def results_csv(rows: Sequence[dict]) -> str:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RetrainHistory, ones_count
+from .core import RetrainHistory, ones_count, require_integers
 
 STRATEGY_KINDS = ("ST1", "ST2", "ST3")
 
@@ -36,8 +36,11 @@ class StrategyConfig:
     st3_filter: bool = True
 
     def __post_init__(self) -> None:
+        require_integers(self, "n_bar", "k_bar")
         if self.kind not in STRATEGY_KINDS:
             raise ValueError(f"unknown strategy kind {self.kind!r}")
+        if not isinstance(self.st3_filter, bool):
+            raise TypeError(f"st3_filter must be true or false, got {self.st3_filter!r}")
         if self.kind == "ST2":
             if self.n_bar is None or self.n_bar < 0:
                 raise ValueError("ST2 requires n_bar >= 0")

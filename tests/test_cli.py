@@ -263,3 +263,78 @@ def test_run_non_finite_flag_is_usage_error(tmp_path, capsys, flags):
     assert main(["run", "--spec", str(spec), "--out", str(tmp_path / "out"), *flags]) == 1
     err = capsys.readouterr().err
     assert "usage error" in err and "finite" in err
+
+
+def _main_on_spec(tmp_path, argv, edit=None):
+    """`main(argv)` with "SPEC" standing for a small valid spec file that
+    `edit(doc)` may rewrite, and an --out directory for run and placedef."""
+    spec = _spec_file(tmp_path)
+    if edit is not None:
+        spec.write_text(json.dumps(edit(json.loads(spec.read_text()))))
+    argv = [str(spec) if a == "SPEC" else a for a in argv]
+    if argv[0] != "schedule":
+        argv += ["--out", str(tmp_path / "out")]
+    return main(argv)
+
+
+def _set(section, field, value):
+    def edit(doc):
+        (doc.setdefault(section, {}) if section else doc)[field] = value
+        return doc
+    return edit
+
+
+def _partition(**fields):
+    return _set(None, "partition", {"method": "location-appearance", **fields})
+
+
+RUN_SPEC = ["run", "--spec", "SPEC"]
+MALFORMED_INPUTS = {
+    "spec_is_array": (RUN_SPEC, lambda doc: [doc]),
+    "strategy_is_string": (RUN_SPEC, _set(None, "strategy", "ST1")),
+    "error_threshold_is_string": (RUN_SPEC, _set(None, "error_thresholds", [10, "a"])),
+    "manifest_is_number": (RUN_SPEC, _set(None, "manifest", 5)),
+    "run_seed_negative": ([*RUN_SPEC, "--seed", "-1"], None),
+    "placedef_seed_negative": (["placedef", "--seed", "-3"], None),
+    "partition_k_above_images": (RUN_SPEC, _partition(k=1000)),
+    "placedef_k_above_images": (["placedef", "--upd", "location-appearance", "--k", "1000"],
+                                None),
+    "schedule_capacity_0": (["schedule", "--strategy", "ST1", "--capacity", "0"], None),
+    "train_epochs_fractional": (RUN_SPEC, _set("train", "epochs", 1.5)),
+    "train_hidden_fractional": (RUN_SPEC, _set("train", "hidden", 4.5)),
+    "synth_n_places_fractional": (RUN_SPEC, _set("synth", "n_places", 4.5)),
+    "partition_kmeans_iters_fractional": (RUN_SPEC, _partition(kmeans_iters=2.5)),
+    "partition_t_d_past_float": (RUN_SPEC, _set("partition", "t_d", 10**400)),
+    "train_learning_rate_past_float": (RUN_SPEC, _set("train", "learning_rate", 10**400)),
+}
+
+
+@pytest.mark.parametrize("argv, edit", MALFORMED_INPUTS.values(), ids=MALFORMED_INPUTS)
+def test_malformed_config_is_usage_error(tmp_path, capsys, caplog, argv, edit):
+    assert _main_on_spec(tmp_path, argv, edit) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err
+    assert "Traceback" not in err + caplog.text
+
+
+IGNORED_SPEC_VALUES = {
+    "train.seed": _set("train", "seed", 5),
+    "synth.seed": _set("synth", "seed", 9),
+    "synth.n_seasons": _set("synth", "n_seasons", 7),
+    "nbar": _set("strategy", "nbar", 2),  # a strategy key StrategyConfig does not have
+    "missions": _set(None, "missions", 2.5),
+    "capacity": _set(None, "capacity", 2.5),
+    "fusion_x": _set(None, "fusion_x", 9.5),
+    "seed": _set(None, "seed", 1.5),
+    "n_bar": _set("strategy", "n_bar", 1.5),
+    "k_bar": _set(None, "strategy", {"kind": "ST3", "k_bar": 1.5}),
+    "st3_filter": _set(None, "strategy", {"kind": "ST3", "k_bar": 1, "st3_filter": "false"}),
+    "mision": _set(None, "mision", 3),  # a misspelled top-level key
+}
+
+
+@pytest.mark.parametrize("edit", IGNORED_SPEC_VALUES.values(), ids=IGNORED_SPEC_VALUES)
+def test_spec_value_that_would_be_ignored_is_refused_by_name(tmp_path, capsys, request, edit):
+    assert _main_on_spec(tmp_path, RUN_SPEC, edit) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and request.node.callspec.id in err

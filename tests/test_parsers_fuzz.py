@@ -1,7 +1,8 @@
 """Property tests for the input parsers: whatever bytes arrive, a parser
-returns a value or raises its typed error (DataError / StateFormatError),
-never a bare ValueError, OverflowError, struct.error or similar."""
+returns a value or raises its typed error (DataError / StateFormatError /
+UsageError), never a bare ValueError, OverflowError, struct.error or similar."""
 
+import copy
 import hashlib
 import json
 
@@ -24,6 +25,7 @@ from seasonvpc import (
     save_state,
     synth_generate,
 )
+from seasonvpc.cli import ExperimentSpec, UsageError, load_experiment_spec
 from seasonvpc.data import FEATURE_HEADER, FEATURE_MAGIC
 from seasonvpc.missions import _HEADER, STATE_MAGIC, STATE_VERSION, StateFormatError
 
@@ -192,3 +194,57 @@ def test_load_state_raises_only_state_format_error(tmp_path_factory, state_paylo
         load_state(path)
     except StateFormatError:
         pass
+
+
+# Every key a spec may hold, each with a valid value.
+VALID_SPEC = {
+    "missions": 3, "seed": 1, "manifest": "m.json", "protocol": "fixed-test",
+    "synth": {"n_places": 8, "loop_length": 160.0, "images_per_place": 3, "feature_dim": 16,
+              "place_signal": 1.0, "season_drift": 0.6, "noise": 0.2, "pose_jitter": 0.25},
+    "strategy": {"kind": "ST3", "n_bar": 1, "k_bar": 2, "st3_filter": False},
+    "partition": {"method": "location-appearance", "t_d": 18.0, "k": 3, "kmeans_iters": 5,
+                  "seed": 2, "pos_max": 30.0, "ang_max": 0.5, "feat_max": 0.8},
+    "train": {"learning_rate": 0.5, "epochs": 4, "batch_size": 8, "hidden": 16,
+              "weight_scale": 0.1},
+    "fusion_x": 5, "capacity": 3, "error_thresholds": [10.0, 20.0], "mode": "topx",
+}
+SPEC_FIELD_VALUES = st.one_of(
+    JSON_VALUES,
+    st.sampled_from([0, -1, 1, 2.5, 1e400, -1e400, 10**400, "ST1", "location", "10",
+                     [], [1], [10, "a"], {}]),
+)
+
+
+@st.composite
+def mutated_specs(draw):
+    """VALID_SPEC with one key of one section (or of the top level)
+    replaced, added or removed."""
+    doc = copy.deepcopy(VALID_SPEC)
+    section = draw(st.sampled_from([None, "synth", "strategy", "partition", "train"]))
+    target = doc if section is None else doc[section]
+    key = draw(st.sampled_from(sorted(target) + ["seed", "n_seasons", "bogus"]))
+    if draw(st.booleans()):
+        target.pop(key, None)
+    else:
+        target[key] = draw(SPEC_FIELD_VALUES)
+    return doc
+
+
+@FUZZ
+@given(blob=st.one_of(st.one_of(JSON_VALUES, mutated_specs()).map(
+    lambda doc: json.dumps(doc).encode()), st.binary(max_size=60)))
+def test_load_experiment_spec_raises_only_usage_or_data_error(tmp_path_factory, blob):
+    path = _write(tmp_path_factory, "spec.json", blob)
+    try:
+        spec = load_experiment_spec(str(path))
+    except (UsageError, DataError):
+        return
+    assert isinstance(spec, ExperimentSpec)
+
+
+def test_valid_spec_builds(tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(VALID_SPEC))
+    spec = load_experiment_spec(str(path))
+    assert spec.mission.train.seed == spec.synth.seed == 1
+    assert spec.manifest == str(tmp_path / "m.json")

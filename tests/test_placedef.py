@@ -14,8 +14,6 @@ from seasonvpc import (
     partition_incremental,
     partition_location_appearance,
     path_length,
-    search_t_d,
-    t_d_candidates,
 )
 from seasonvpc.report import partition_csv
 
@@ -134,6 +132,13 @@ def test_location_appearance_constant_features_k1(line7):
     assert [c.members.tolist() for c in pa.classes] == [[0, 1, 2, 3, 4, 5], [6]]
 
 
+def test_location_appearance_default_k_never_exceeds_the_images(line7):
+    # t_d 0.5 m asks for ceil(7 * 3 / 0.5 / 4) = 11 appearance clusters.
+    cfg = PartitionConfig(method="location-appearance", t_d=0.5)
+    pa = partition_location_appearance(line7, cfg)
+    assert [c.members.tolist() for c in pa.classes] == [[i] for i in range(7)]
+
+
 def test_location_appearance_interleaved_blobs_split_independently():
     # images 2 m apart; features alternate between two far-apart blobs, so
     # k-means separates even/odd and each side splits by trajectory travel
@@ -222,16 +227,3 @@ def test_partition_determinism_byte_for_byte():
         a = partition_csv(build_partition(train, cfg))
         b = partition_csv(build_partition(train, cfg))
         assert a.encode() == b.encode()
-
-
-def test_search_t_d_tie_breaks_to_smallest(line7):
-    assert search_t_d(line7, t_d_candidates(30.0), lambda p: 1.0) == 3.0
-    assert search_t_d(line7, [12.0], lambda p: 0.0) == 12.0
-    with pytest.raises(ValueError):
-        search_t_d(line7, [], lambda p: 0.0)
-
-
-def test_search_t_d_peaked_at_18():
-    train = line_training_set(37)  # 3 m spacing: t_d=18 gives 7 classes
-    best = search_t_d(train, t_d_candidates(30.0), lambda p: -abs(len(p.classes) - 7))
-    assert best == 18.0

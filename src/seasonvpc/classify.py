@@ -7,6 +7,7 @@ replaced whenever the class set changes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -159,19 +160,57 @@ def _forward(m: ModelParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     return z1, a1, _softmax(logits)
 
 
+# A first-layer weight matrix larger than BLOCK_BYTES is multiplied in
+# blocks of whole rows (hidden units), each run over the whole query batch
+# while it stays in cache. Half of a 2 MiB per-core L2: 500 queries x 4096-d
+# through 4 models of H 64 (one BLAS thread, x86-64) took 101-107 ms
+# unblocked, where every row streams the whole 2 MiB w1 from L3 again, and
+# 58-60 ms in two 32-row blocks.
+BLOCK_BYTES = 1 << 20
+# Blocks start on, and span, multiples of this many rows, so every hidden
+# unit keeps its place in the GEMV kernel's row groups and its sum keeps the
+# bits of the unblocked product (tests/test_vpc.py checks the per-row oracle).
+_ROW_GROUP = 16
+
+
+@functools.lru_cache(maxsize=16)
+def _row_blocks(hidden: int, f_dim: int) -> tuple[tuple[int, int], ...]:
+    """(start, stop) of each first-layer row block of a (hidden, f_dim) w1.
+
+    Rows left over after the last whole block join it: split off, they run
+    a narrower GEMV whose sums differ in the last bits (seen at H 17, F 8192).
+    The bounds depend on the shape alone, never on the batch; cached, since
+    a single query's predict is short enough for their arithmetic to show."""
+    rows = max(_ROW_GROUP, BLOCK_BYTES // (8 * f_dim) // _ROW_GROUP * _ROW_GROUP)
+    starts = range(0, max(1, hidden // rows) * rows, rows)
+    return tuple(zip(starts, [*starts[1:], hidden]))
+
+
 def predict(m: ModelParams, features: np.ndarray) -> np.ndarray:
     """Class probabilities (n, K) for a batch of feature vectors (n, F).
 
     Each row is multiplied on its own: the matmuls are stacked over an
-    (n, 1, F) batch, so every row runs the same matrix-vector product as a
+    (n, 1, F) batch, so every row runs the same matrix-vector products as a
     batch of one. A row's probabilities are therefore bit-identical whatever
     batch it arrives in; one (n, F) GEMM would block the sums differently
     depending on n and change the last bits.
+
+    A w1 larger than BLOCK_BYTES is multiplied in row blocks (`_row_blocks`)
+    that fit in L2, each over the whole batch. With one BLAS thread the
+    result equals the unblocked product bit for bit; with more, a BLAS
+    library may split each call across threads by its size, so the bits can
+    differ from the unblocked product, but still not with the batch.
     """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != m.feature_dim:
         raise ValueError(f"feature batch shape {x.shape} != (n, {m.feature_dim})")
-    a1 = np.maximum((x[:, None, :] @ m.w1.T)[:, 0, :] + m.b1, 0.0)
+    if m.w1.nbytes <= BLOCK_BYTES:
+        a1 = np.maximum((x[:, None, :] @ m.w1.T)[:, 0, :] + m.b1, 0.0)
+    else:
+        z1 = np.empty((len(x), 1, m.hidden))
+        for a, b in _row_blocks(*m.w1.shape):
+            np.matmul(x[:, None, :], m.w1[a:b].T, out=z1[:, :, a:b])
+        a1 = np.maximum(z1[:, 0, :] + m.b1, 0.0)
     return _softmax((a1[:, None, :] @ m.w2.T)[:, 0, :] + m.b2)
 
 

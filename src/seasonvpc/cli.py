@@ -134,11 +134,20 @@ def _check_kbar(strategy: StrategyConfig, n_missions: int) -> None:
         raise UsageError(f"k_bar {strategy.k_bar} exceeds the number of missions {n_missions}")
 
 
-def _check_k(partition: PartitionConfig, seasons) -> None:
-    """k-means needs at least k images in every season it partitions."""
+def _check_partition(partition: PartitionConfig, seasons) -> None:
+    """Refuse the seasons `partition` cannot split: k-means needs at least k
+    images in each, and incremental clustering compares L2-normalized
+    features, which an all-zero row does not have."""
     n = min(len(s) for s in seasons)
     if partition.method == "location-appearance" and partition.k is not None and partition.k > n:
         raise UsageError(f"partition k={partition.k} exceeds the {n} images of a season")
+    if partition.method == "incremental":
+        for season in seasons:
+            nonzero = season.features.any(axis=1)
+            if not nonzero.all():
+                raise DataError(f"season {season.season_id}: feature row {int(nonzero.argmin())} "
+                                "is all zero; incremental place definition needs a non-zero "
+                                "feature vector in every row")
 
 
 def _load_seasons(spec: ExperimentSpec) -> list[TrainingSet]:
@@ -160,7 +169,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: Path) -> dict:
     seasons = _load_seasons(spec)
     n_missions = min(spec.missions, len(seasons) - 1)
     _check_kbar(cfg.strategy, n_missions)
-    _check_k(cfg.partition, seasons[:n_missions])
+    _check_partition(cfg.partition, seasons[:n_missions])
     out_dir.mkdir(parents=True, exist_ok=True)
     state = initial_state(cfg.capacity)
     rows: list[dict] = []
@@ -235,7 +244,7 @@ def cmd_placedef(args: argparse.Namespace) -> None:
         train = load_bundle(matches[0], f_dim)
     else:
         train = synth_generate(synth)[0]
-    _check_k(cfg, [train])
+    _check_partition(cfg, [train])
     partition = build_partition(train, cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

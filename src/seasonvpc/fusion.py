@@ -46,10 +46,39 @@ class FusedResult:
             raise ValueError("fused probabilities must be non-increasing")
 
 
+# A batch of rows at least this many times wider than x is ranked by
+# selection (`_partial_order`). At x 10 (x86-64) a full stable sort took
+# 19 us for 100 x 20, 82 us for 100 x 40 and 199 us for 100 x 80; selection
+# 74, 93 and 104 us. At 500 x 400 it was 9.2 against 2.5 ms. A single row
+# always sorts in full: 7 us against 20 us at 400 columns.
+PARTIAL_WIDTH = 8
+
+
 def _order(probs: np.ndarray, x: int) -> np.ndarray:
     """Indices of the x largest entries along the last axis, largest first;
     equal entries keep their index order."""
+    if probs.ndim == 2 and len(probs) >= 2 and probs.shape[1] >= PARTIAL_WIDTH * x:
+        return _partial_order(-probs, x)
     return np.argsort(-probs, axis=-1, kind="stable")[..., :x]
+
+
+def _partial_order(neg: np.ndarray, x: int) -> np.ndarray:
+    """The first x columns of each row of np.argsort(neg, kind="stable"),
+    for 2-D neg with more than x columns, without sorting whole rows.
+
+    argpartition picks x candidates per row; sorted by column and then
+    stable-sorted by value, they are in stable-sort order. They are the
+    right candidates unless the x-th value also occurs outside them, where
+    the stable sort could prefer a lower column: such rows are sorted in
+    full."""
+    cand = np.argpartition(neg, x - 1, axis=1)[:, :x]
+    cand.sort(axis=1)
+    vals = np.take_along_axis(neg, cand, axis=1)
+    order = np.take_along_axis(cand, np.argsort(vals, axis=1, kind="stable"), axis=1)
+    tied = (neg <= vals.max(axis=1, keepdims=True)).sum(axis=1) > x
+    if tied.any():
+        order[tied] = np.argsort(neg[tied], axis=1, kind="stable")[:, :x]
+    return order
 
 
 def top_x(probs: np.ndarray, x: int) -> np.ndarray:
@@ -57,7 +86,11 @@ def top_x(probs: np.ndarray, x: int) -> np.ndarray:
 
     probs is (n, C): row i holds query i's class probabilities of every
     active slot, slot after slot. Returns the (n, min(x, C)) column indices
-    of each row's fused top x, in fusion order.
+    of each row's fused top x, in fusion order: those of one stable sort of
+    -probs. A batch of two or more rows with C >= PARTIAL_WIDTH * x is
+    ranked by selection (`_partial_order`), which returns the same indices
+    without sorting whole rows; single rows and narrower ones sort in full,
+    which is faster there.
     """
     if x < 1:
         raise ValueError("x must be >= 1")

@@ -1,7 +1,29 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from seasonvpc import TrainingSet
+
+TESTS = Path(__file__).resolve().parent
+
+
+def run_at_one_blas_thread(check) -> None:
+    """Call the module-level function `check` of a module in tests/ in a
+    child interpreter whose BLAS runs one thread, as perfbench/run.py pins
+    it, and fail with the child's output if it raises. A BLAS library reads
+    its thread count once, when it loads, so this cannot be switched inside
+    the test process."""
+    path = [str(TESTS.parent / "src"), str(TESTS), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    code = f"from {check.__module__} import {check.__name__}; {check.__name__}()"
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                           text=True, timeout=600)
+    assert child.returncode == 0, child.stdout + child.stderr
 
 
 def line_training_set(n: int, spacing: float = 3.0, feature=None, season_id: int = 1):

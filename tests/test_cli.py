@@ -151,10 +151,10 @@ def test_no_command_prints_help(capsys):
     assert "seasonvpc" in capsys.readouterr().out
 
 
-def _run_two_season_manifest(tmp_path, *, manifest_dim=3, file_dim=3, season_2_id=2,
-                             first_timestamp="0", nan_feature=False, n_seasons=2):
-    """`seasonvpc run` for one mission over a two-season manifest of four
-    images each, with one field of the input replaced; returns the exit code."""
+def _two_season_manifest(tmp_path, *, manifest_dim=3, file_dim=3, season_2_id=2,
+                         first_timestamp="0", nan_feature=False, zero_row=None, n_seasons=2):
+    """A manifest of two seasons of four images each, with one field of the
+    input replaced; zero_row zeroes that feature row of season 1."""
     from seasonvpc import write_features
     seasons = []
     for sid in range(1, n_seasons + 1):
@@ -165,16 +165,25 @@ def _run_two_season_manifest(tmp_path, *, manifest_dim=3, file_dim=3, season_2_i
         feats = np.ones((4, file_dim))
         if nan_feature and sid == 2:
             feats[2, 1] = np.nan
+        if zero_row is not None and sid == 1:
+            feats[zero_row] = 0.0
         write_features(tmp_path / f"f{sid}.bin", feats)
         seasons.append({"poses": f"p{sid}.csv", "features": f"f{sid}.bin",
                         "label": str(sid), "season_id": season_2_id if sid == 2 else sid})
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps({"feature_dim": manifest_dim, "seasons": seasons}))
+    return manifest
+
+
+def _run_two_season_manifest(tmp_path, *flags, **fields):
+    """`seasonvpc run` for one mission over `_two_season_manifest(**fields)`
+    with extra `flags`; returns the exit code."""
+    manifest = _two_season_manifest(tmp_path, **fields)
     spec = _spec_file(tmp_path, manifest=str(manifest), missions=1)
     doc = json.loads(spec.read_text())
     del doc["synth"]
     spec.write_text(json.dumps(doc))
-    return main(["run", "--spec", str(spec), "--out", str(tmp_path / "out")])
+    return main(["run", "--spec", str(spec), "--out", str(tmp_path / "out"), *flags])
 
 
 def test_run_nan_feature_in_manifest_is_data_error(tmp_path, capsys, caplog):
@@ -182,6 +191,26 @@ def test_run_nan_feature_in_manifest_is_data_error(tmp_path, capsys, caplog):
     err = capsys.readouterr().err
     assert "data error" in err and "non-finite feature" in err
     assert "Traceback" not in err + caplog.text
+
+
+def test_run_zero_feature_row_under_incremental_is_data_error(tmp_path, capsys, caplog):
+    assert _run_two_season_manifest(tmp_path, "--upd", "incremental", zero_row=1) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "season 1: feature row 1 is all zero" in err
+    assert "Traceback" not in err + caplog.text
+    assert _run_two_season_manifest(tmp_path, "--upd", "location", zero_row=1) == 0
+
+
+def test_placedef_zero_feature_row_under_incremental_is_data_error(tmp_path, capsys, caplog):
+    manifest = _two_season_manifest(tmp_path, zero_row=2)
+    code = main(["placedef", "--manifest", str(manifest), "--upd", "incremental",
+                 "--out", str(tmp_path / "pd")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "season 1: feature row 2 is all zero" in err
+    assert "Traceback" not in err + caplog.text
+    assert main(["placedef", "--manifest", str(manifest), "--upd", "incremental",
+                 "--season", "2", "--out", str(tmp_path / "pd2")]) == 0
 
 
 @pytest.mark.parametrize("fields, message", [

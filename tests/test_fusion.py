@@ -11,6 +11,8 @@ from seasonvpc import (
     top_x,
 )
 
+from seasonvpc.fusion import PARTIAL_WIDTH, _partial_order
+
 from conftest import line_training_set
 
 
@@ -66,6 +68,42 @@ def test_top_x_rejects_invalid_probabilities():
     for bad in (np.nan, np.inf, -0.1, 1.5):
         with pytest.raises(ValueError):
             top_x(np.array([[0.5, 0.5], [0.2, bad]]), 1)
+
+
+def _stable_top(probs, x):
+    return np.argsort(-probs, axis=1, kind="stable")[:, :x]
+
+
+def _tie_heavy_rows(rng, n, c):
+    """Rows whose ties straddle the x-th position: values on a coarse grid,
+    a column every third holding one constant (that also appears elsewhere in
+    its row), and every third row all equal."""
+    p = rng.integers(0, 6, size=(n, c)) / 5.0
+    p[:, ::3] = 0.6
+    p[2::3] = 0.4
+    p[1::4, 5::7] = rng.random((len(p[1::4]), len(range(5, c, 7))))
+    return p
+
+
+@pytest.mark.parametrize("c", [9, 20, 79, 80, 81, 400])
+def test_top_x_equals_stable_argsort_on_ties(c):
+    rng = np.random.default_rng(c)
+    for x in sorted({1, 2, 3, 10, c // PARTIAL_WIDTH, c - 1, c, c + 3} - {0}):
+        for n in (1, 2, 3, 40):
+            p = _tie_heavy_rows(rng, n, c)
+            assert np.array_equal(top_x(p, x), _stable_top(p, x)), (n, x)
+            r = rng.dirichlet(np.ones(c), size=n)
+            assert np.array_equal(top_x(r, x), _stable_top(r, x)), (n, x)
+
+
+def test_partial_order_equals_stable_argsort_for_every_x():
+    """The selection path on its own, for widths top_x sorts in full too."""
+    rng = np.random.default_rng(1)
+    for c in (2, 3, 8, 15, 16, 17, 50):
+        for x in range(1, c):
+            for p in (_tie_heavy_rows(rng, 30, c), rng.dirichlet(np.ones(c), size=30),
+                      np.full((3, c), 1 / c)):
+                assert np.array_equal(_partial_order(-p, x), _stable_top(p, x)), (c, x)
 
 
 def test_fuse_single_classifier_is_identity():

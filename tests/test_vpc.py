@@ -19,7 +19,12 @@ from seasonvpc import (
     run_vpc,
 )
 
-from vpc_oracle import run_vpc_reference
+from seasonvpc.classify import BLOCK_BYTES, predict
+from seasonvpc.fusion import PARTIAL_WIDTH
+from seasonvpc.missions import active_slots
+
+from conftest import run_at_one_blas_thread
+from vpc_oracle import predict_one, run_vpc_reference
 
 
 def _partition(rng, k):
@@ -53,7 +58,7 @@ def _random_state(rng, f_dim):
                 prev = records[-1]  # same model and class count: ties across slots
                 model, partition = prev.model, _partition(rng, prev.model.n_classes)
             else:
-                k = int(rng.integers(1, 31))
+                k = int(rng.integers(1, 301))
                 model, partition = _model_with_ties(rng, f_dim, k, seed=slot), _partition(rng, k)
         else:
             model, partition = None, None
@@ -75,6 +80,7 @@ def _key(result):
 def test_batched_vpc_matches_per_query_reference():
     rng = np.random.default_rng(0)
     f_dim = 8
+    partial = 0
     for _ in range(300):
         state = _random_state(rng, f_dim)
         if rng.random() < 0.5:
@@ -82,10 +88,55 @@ def test_batched_vpc_matches_per_query_reference():
         else:
             strategy = StrategyConfig("ST1")
         cfg = MissionConfig(strategy=strategy, fusion_x=int(rng.integers(1, 13)))
-        queries = _queries(rng, int(rng.integers(1, 6)), f_dim)
+        queries = _queries(rng, int(rng.integers(1, 41)), f_dim)
         got = run_vpc(state, queries, cfg)
         want = run_vpc_reference(state, queries, cfg)
         assert [_key(r) for r in got] == [_key(r) for r in want]
+        width = sum(state.classifiers[j].model.n_classes for j in active_slots(state, strategy))
+        partial += len(queries) >= 2 and width >= PARTIAL_WIDTH * cfg.fusion_x
+    assert partial >= 100  # top_x ranked these batches by selection
+
+
+GRID_F = (1024, 1500, 2048, 3000, 4096, 8192)
+GRID_H = (5, 16, 17, 37, 64, 70, 128)
+GRID_N = (1, 2, 3, 50)
+
+
+def _grid():
+    """A model and max(GRID_N) query rows for every (F, H) of the grid; the
+    larger w1 exceed BLOCK_BYTES and are multiplied in row blocks."""
+    for f_dim in GRID_F:
+        for hidden in GRID_H:
+            yield (init_model(f_dim, hidden, 9, seed=f_dim + hidden),
+                   np.random.default_rng(hidden).normal(size=(max(GRID_N), f_dim)))
+
+
+def check_predict_matches_oracle():
+    """predict equals the per-row oracle bit for bit on every grid shape and
+    batch size. Holds with one BLAS thread; a threaded BLAS may split a
+    block's product across threads unlike the whole matrix's."""
+    for m, x in _grid():
+        want = np.array([predict_one(m, row) for row in x])
+        for n in GRID_N:
+            assert np.array_equal(predict(m, x[:n]), want[:n]), (m.feature_dim, m.hidden, n)
+
+
+def test_predict_matches_per_row_oracle_at_one_blas_thread():
+    blocked = {(m.feature_dim, m.hidden) for m, _ in _grid() if m.w1.nbytes > BLOCK_BYTES}
+    # Two 32-row blocks at 4096 x 64, and a merged tail: 16 + 1 rows at 8192 x 17.
+    assert {(4096, 64), (8192, 17), (8192, 70), (1500, 128)} <= blocked
+    assert (4096, 17) not in blocked
+    run_at_one_blas_thread(check_predict_matches_oracle)
+
+
+def test_predict_is_batch_invariant_at_default_blas_threads():
+    for m, x in _grid():
+        batch = predict(m, x)
+        for n in GRID_N:
+            assert np.array_equal(predict(m, x[:n]), batch[:n]), (m.feature_dim, m.hidden, n)
+        for i in (7, 31, 49):
+            assert np.array_equal(predict(m, x[i:i + 1]), batch[i:i + 1])
+        assert np.array_equal(predict(m, x[5:17]), batch[5:17])
 
 
 def _wide_state(f_dim, seed):

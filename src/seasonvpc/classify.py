@@ -160,16 +160,18 @@ def _forward(m: ModelParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     return z1, a1, _softmax(logits)
 
 
-# A first-layer weight matrix larger than BLOCK_BYTES is multiplied in
-# blocks of whole rows (hidden units), each run over the whole query batch
-# while it stays in cache. Half of a 2 MiB per-core L2: 500 queries x 4096-d
-# through 4 models of H 64 (one BLAS thread, x86-64) took 101-107 ms
-# unblocked, where every row streams the whole 2 MiB w1 from L3 again, and
-# 58-60 ms in two 32-row blocks.
+# The first-layer weight matrix is multiplied in blocks of whole rows
+# (hidden units), each run over the whole query batch while it stays in
+# cache. Half of a 2 MiB per-core L2: 500 queries x 4096-d through 4 models
+# of H 64 (one OpenBLAS thread, x86-64) took 101-107 ms unblocked, where
+# every row streams the whole 2 MiB w1 from L3 again, and 58-60 ms in two
+# 32-row blocks. A w1 within BLOCK_BYTES is one block.
 BLOCK_BYTES = 1 << 20
-# Blocks start on, and span, multiples of this many rows, so every hidden
-# unit keeps its place in the GEMV kernel's row groups and its sum keeps the
-# bits of the unblocked product (tests/test_vpc.py checks the per-row oracle).
+# Blocks start on, and span, multiples of this many rows. This is not a BLAS
+# contract: it was found by testing against the unblocked per-row product
+# (tests/test_vpc.py, the oracle grid) with OpenBLAS's x86-64 GEMV kernel at
+# one thread, where a 16-row group sums each hidden unit as the whole matrix
+# does. Another BLAS library or CPU kernel may group rows differently.
 _ROW_GROUP = 16
 
 
@@ -195,22 +197,23 @@ def predict(m: ModelParams, features: np.ndarray) -> np.ndarray:
     batch it arrives in; one (n, F) GEMM would block the sums differently
     depending on n and change the last bits.
 
-    A w1 larger than BLOCK_BYTES is multiplied in row blocks (`_row_blocks`)
-    that fit in L2, each over the whole batch. With one BLAS thread the
-    result equals the unblocked product bit for bit; with more, a BLAS
-    library may split each call across threads by its size, so the bits can
-    differ from the unblocked product, but still not with the batch.
+    w1 is multiplied in row blocks (`_row_blocks`) that fit in L2, each
+    over the whole batch; a w1 within BLOCK_BYTES is one block. The bounds
+    depend on the model's shape only, so batch invariance holds at any BLAS
+    thread count. With OpenBLAS at one thread on x86-64 (the benchmark's
+    setting, where the oracle grid was run) the result also equals the
+    unblocked product bit for bit; with more threads, or another BLAS, the
+    bits can differ from the unblocked product, but still not with the batch.
     """
     x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != m.feature_dim:
-        raise ValueError(f"feature batch shape {x.shape} != (n, {m.feature_dim})")
-    if m.w1.nbytes <= BLOCK_BYTES:
-        a1 = np.maximum((x[:, None, :] @ m.w1.T)[:, 0, :] + m.b1, 0.0)
-    else:
-        z1 = np.empty((len(x), 1, m.hidden))
-        for a, b in _row_blocks(*m.w1.shape):
-            np.matmul(x[:, None, :], m.w1[a:b].T, out=z1[:, :, a:b])
-        a1 = np.maximum(z1[:, 0, :] + m.b1, 0.0)
+    hidden, f_dim = m.w1.shape
+    if x.ndim != 2 or x.shape[1] != f_dim:
+        raise ValueError(f"feature batch shape {x.shape} != (n, {f_dim})")
+    rows = x[:, None, :]
+    z1 = np.empty((len(x), 1, hidden))
+    for a, b in _row_blocks(hidden, f_dim):
+        np.matmul(rows, m.w1[a:b].T, out=z1[:, :, a:b])
+    a1 = np.maximum(z1[:, 0, :] + m.b1, 0.0)
     return _softmax((a1[:, None, :] @ m.w2.T)[:, 0, :] + m.b2)
 
 

@@ -50,7 +50,10 @@ class FusedResult:
 # selection (`_partial_order`). At x 10 (x86-64) a full stable sort took
 # 19 us for 100 x 20, 82 us for 100 x 40 and 199 us for 100 x 80; selection
 # 74, 93 and 104 us. At 500 x 400 it was 9.2 against 2.5 ms. A single row
-# always sorts in full: 7 us against 20 us at 400 columns.
+# always sorts in full: 7 us against 20 us at 400 columns. In the
+# benchmark at x 10, every desk-4096-loc batch (500 x 100 to 400) and
+# accept-sweep's 4-slot batches (100 x 80, 9% of its batch calls) are
+# ranked by selection; its 1- to 3-slot batches sort in full.
 PARTIAL_WIDTH = 8
 
 

@@ -9,7 +9,6 @@ metadata, never training data.
 
 from .core import (
     ClassifierRecord,
-    ClassSummary,
     EnsembleState,
     MappedImage,
     PartitionSummary,
@@ -56,7 +55,7 @@ from .classify import (
     predict,
     train,
 )
-from .fusion import FusedResult, GlobalCandidate, fuse, fused_results, top_x
+from .fusion import FusedResult, GlobalCandidate, Ranking, fuse, ranking, top_x
 from .missions import (
     MissionConfig,
     initial_state,

@@ -20,6 +20,7 @@ from .data import DataError, SynthConfig, load_bundle, load_manifest, synth_gene
 from .missions import (
     SUCCESS_MODES,
     MissionConfig,
+    StateFormatError,
     initial_state,
     queries_from_set,
     run_adaptation,
@@ -358,7 +359,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, FileNotFoundError) as exc:
+    except (DataError, StateFormatError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except Exception:  # pragma: no cover - defensive

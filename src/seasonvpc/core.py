@@ -234,41 +234,41 @@ class PlacePartition:
         if train.season_id != self.source_season:
             raise ValueError(f"partition of season {self.source_season} "
                              f"summarized with season {train.season_id}")
-        classes = []
+        representatives = []
         for c in self.classes:
             xs, ys, thetas = train.poses[c.members].T.tolist()
-            kf = int(c.members[0])
             # The heading the state files hold: atan2(sum of sines, 0), so
             # +-pi/2 or 0, not the circular mean atan2(sum of sines, sum of
             # cosines); changing it changes their bytes.
             heading = normalize_angle(math.atan2(sum(math.sin(t) for t in thetas), 0))
-            classes.append(ClassSummary(
-                class_id=c.class_id,
-                keyframe_id=kf,
-                keyframe_timestamp=int(train.timestamps[kf]),
-                keyframe_viewpoint=Viewpoint(xs[0], ys[0], thetas[0]),
-                representative=Viewpoint(sum(xs) / len(xs), sum(ys) / len(ys), heading),
-                size=len(xs),
-            ))
-        return PartitionSummary(classes=tuple(classes), source_season=self.source_season,
-                                method=self.method)
+            representatives.append((sum(xs) / len(xs), sum(ys) / len(ys), heading))
+        keyframes = [int(c.members[0]) for c in self.classes]
+        return PartitionSummary(
+            keyframe_ids=keyframes,
+            keyframe_timestamps=train.timestamps[keyframes],
+            keyframe_poses=train.poses[keyframes],
+            representatives=representatives,
+            sizes=[len(c.members) for c in self.classes],
+            source_season=self.source_season,
+            method=self.method,
+        )
 
 
-@dataclass(frozen=True)
-class ClassSummary:
-    """Feature-free byproduct of a place class: what a classifier keeps."""
-
-    class_id: int
-    keyframe_id: int
-    keyframe_timestamp: int
-    keyframe_viewpoint: Viewpoint
-    representative: Viewpoint
-    size: int
+# One place class as the state file stores it (packed, 72 bytes): its id,
+# then a PartitionSummary's columns in their order and types.
+CLASS_RECORD = np.dtype([("class_id", "<u4"), ("keyframe_ids", "<i8"),
+                         ("keyframe_timestamps", "<i8"), ("keyframe_poses", "<f8", (3,)),
+                         ("representatives", "<f8", (3,)), ("sizes", "<u4")])
+SUMMARY_COLUMNS = CLASS_RECORD.names[1:]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PartitionSummary:
-    """Feature-free partition metadata retained inside classifier records.
+    """Feature-free partition metadata retained inside classifier records,
+    one entry per class: keyframe_ids and keyframe_timestamps (K,) int64,
+    keyframe_poses and representatives (K, 3) float64 x, y, heading, and
+    sizes (K,) uint32 (`CLASS_RECORD`). The arrays are read-only copies of
+    the inputs. Equal summaries hold equal columns.
 
     A PlacePartition holds member row indices into its season, and both exist
     only while that season is being processed; only this summary, built by
@@ -276,9 +276,34 @@ class PartitionSummary:
     state.
     """
 
-    classes: tuple[ClassSummary, ...]
+    keyframe_ids: np.ndarray
+    keyframe_timestamps: np.ndarray
+    keyframe_poses: np.ndarray
+    representatives: np.ndarray
+    sizes: np.ndarray
     source_season: int
     method: str
+
+    def __post_init__(self) -> None:
+        k = len(self.sizes)
+        for name in SUMMARY_COLUMNS:
+            a = np.array(getattr(self, name), dtype=CLASS_RECORD[name].base)
+            shape = (k, *CLASS_RECORD[name].shape)
+            if a.shape != shape:
+                raise ValueError(f"{name} must be a {shape} array, got {a.shape}")
+            object.__setattr__(self, name, _read_only(a))
+
+    @property
+    def classes(self) -> range:
+        """The class ids, 0..K-1."""
+        return range(len(self.sizes))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PartitionSummary):
+            return NotImplemented
+        return ((self.source_season, self.method) == (other.source_season, other.method)
+                and all(np.array_equal(getattr(self, name), getattr(other, name))
+                        for name in SUMMARY_COLUMNS))
 
 
 def membership_labels(partition: PlacePartition, n_images: int) -> np.ndarray:

@@ -11,9 +11,9 @@ once equals ranking each slot and merging the lists.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import accumulate
 
 import numpy as np
 
@@ -104,28 +104,61 @@ def top_x(probs: np.ndarray, x: int) -> np.ndarray:
     return _order(probs, x)
 
 
-def fused_results(probs: np.ndarray, order: np.ndarray, slots: Sequence[int],
-                  partitions: Sequence[PartitionSummary]) -> list[FusedResult]:
-    """Candidate lists for the ranked columns of top_x.
+@dataclass(frozen=True, eq=False)
+class Ranking(Sequence):
+    """The fused candidates of n queries as columns, row i ranking query i:
+    slots and classes (n, X) int64, probabilities (n, X) float64, and poses
+    (n, X, 3) float64, each candidate's class representative (x, y, heading).
+
+    As a sequence, item i is row i as a FusedResult, built when it is read;
+    a slice is a Ranking of the rows. A Ranking equals any sequence of the
+    same FusedResults, so an empty one equals [].
+    """
+
+    slots: np.ndarray
+    classes: np.ndarray
+    probabilities: np.ndarray
+    poses: np.ndarray
+
+    @classmethod
+    def empty(cls) -> "Ranking":
+        return cls(np.empty((0, 0), np.int64), np.empty((0, 0), np.int64),
+                   np.empty((0, 0)), np.empty((0, 0, 3)))
+
+    def __len__(self) -> int:
+        return len(self.probabilities)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Ranking(self.slots[i], self.classes[i], self.probabilities[i], self.poses[i])
+        i = range(len(self))[i]  # negative indices, IndexError
+        return FusedResult(tuple(
+            GlobalCandidate(slot, cls, p, Viewpoint(*pose))
+            for slot, cls, p, pose in zip(self.slots[i].tolist(), self.classes[i].tolist(),
+                                          self.probabilities[i].tolist(),
+                                          self.poses[i].tolist())))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence) or isinstance(other, str):
+            return NotImplemented
+        return list(self) == list(other)
+
+
+def ranking(probs: np.ndarray, order: np.ndarray, slots: Sequence[int],
+            partitions: Sequence[PartitionSummary]) -> Ranking:
+    """The candidates of top_x's ranked columns `order` of probs.
 
     Column c of probs belongs to the slot whose class range holds it, in the
     order of `slots`, with `partitions` giving each slot's classes.
     """
-    starts = [0]  # first column of each slot, then the total
-    for part in partitions:
-        starts.append(starts[-1] + len(part.classes))
-    if starts[-1] != probs.shape[1]:
+    bounds = np.array([0, *accumulate(len(part.classes) for part in partitions)])
+    if bounds[-1] != probs.shape[1]:
         raise ValueError(f"probabilities over {probs.shape[1]} classes != partitions "
-                         f"with {starts[-1]}")
-    results = []
-    for cols, row_p in zip(order.tolist(), np.take_along_axis(probs, order, axis=1).tolist()):
-        ranked = []
-        for col, p in zip(cols, row_p):
-            s = bisect_right(starts, col) - 1
-            c = col - starts[s]
-            ranked.append(GlobalCandidate(slots[s], c, p, partitions[s].classes[c].representative))
-        results.append(FusedResult(tuple(ranked)))
-    return results
+                         f"with {bounds[-1]}")
+    s = np.searchsorted(bounds[1:], order, side="right")  # index into slots
+    return Ranking(slots=np.array(slots, dtype=np.int64)[s], classes=order - bounds[s],
+                   probabilities=probs[np.arange(len(order))[:, None], order],
+                   poses=np.concatenate([part.representatives for part in partitions])[order])
 
 
 def fuse(lists: Sequence[Sequence[GlobalCandidate]], x: int) -> FusedResult:

@@ -8,40 +8,42 @@ import hashlib
 import math
 import numbers
 import os
-import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
+from struct import Struct
 from typing import Sequence
 
 import numpy as np
 
 from .classify import TrainConfig, fine_tune, model_from_flat, predict, train
 from .core import (
+    CLASS_RECORD,
+    SUMMARY_COLUMNS,
     ClassifierRecord,
-    ClassSummary,
     EnsembleState,
     MappedImage,
     PartitionSummary,
     RetrainHistory,
     TrainingSet,
-    Viewpoint,
     membership_labels,
     require_integers,
-    viewpoint_distance,
 )
 # fuse is not called here; it stays importable from this module next to the
 # other layer functions, which perfbench/spans.py patches by name.
-from .fusion import FusedResult, fuse, fused_results, top_x  # noqa: F401
+from .fusion import Ranking, fuse, ranking, top_x  # noqa: F401
 from .placedef import PartitionConfig, build_partition
 from .sched import Schedule, StrategyConfig, next_schedule, st3_fusion_filter
 
 STATE_MAGIC = b"SVPC"
 STATE_VERSION = 1
-_HEADER = struct.Struct("<4sIQ32s")  # magic, version, payload length, sha256
+_HEADER = Struct("<4sIQ32s")  # magic, version, payload length, sha256
 
 # Slots per ensemble; _slot_seed keeps seeds distinct only up to this many.
 MAX_CAPACITY = 100
 SUCCESS_MODES = ("rank1", "topx")
+# run_adaptation warns when more than this share of a new partition's classes
+# hold a single image: each of them trains its class on one example.
+SINGLETON_WARN_FRACTION = 0.5
 
 PARTITION_METHOD_CODES = {"location": 0, "location-appearance": 1, "incremental": 2}
 _METHOD_BY_CODE = {v: k for k, v in PARTITION_METHOD_CODES.items()}
@@ -111,6 +113,16 @@ def run_adaptation(state: EnsembleState, d: TrainingSet, cfg: MissionConfig) -> 
     labels = membership_labels(partition, len(d))
     summary = partition.summary(d)
     n_classes = len(partition.classes)
+    singletons = np.count_nonzero(summary.sizes == 1)
+    if singletons > SINGLETON_WARN_FRACTION * n_classes:
+        # Imported only when there is something to log: the import costs
+        # ~9 ms and 0.5 MB, 5% of accept-sweep's setup_s and 1.4% of its
+        # peak_rss_mb.
+        import logging
+
+        logging.getLogger(__name__).warning(
+            "season %d: %d of %d place classes (%s) hold a single image",
+            d.season_id, singletons, n_classes, partition.method)
 
     records = []
     for slot, history in enumerate(decision.schedule.histories):
@@ -147,14 +159,14 @@ def active_slots(state: EnsembleState, strategy: StrategyConfig) -> list[int]:
 
 
 def run_vpc(state: EnsembleState, queries: Sequence[MappedImage],
-            cfg: MissionConfig) -> list[FusedResult]:
+            cfg: MissionConfig) -> Ranking:
     """Classify every query through the ensemble and fuse the ranked lists.
 
     One forward pass per active slot over all queries, then one ranking of
-    the slot-concatenated probability rows. Each query's result is identical
-    to ranking each slot's classes and fusing the lists (`fuse`), and does
-    not depend on the other queries in the batch. Pure with respect to the
-    state; deterministic.
+    the slot-concatenated probability rows, indexed into a columnar
+    `Ranking`. Each query's row is identical to ranking each slot's classes
+    and fusing the lists (`fuse`), and does not depend on the other queries
+    in the batch. Pure with respect to the state; deterministic.
     """
     if state.mission < 1:
         raise ValueError("VPC needs at least one adaptation mission")
@@ -162,27 +174,28 @@ def run_vpc(state: EnsembleState, queries: Sequence[MappedImage],
     if not slots:
         raise ValueError("no trained classifiers available for VPC")
     if not queries:
-        return []
+        return Ranking.empty()
     features = np.stack([q.feature for q in queries], dtype=np.float64)
     records = [state.classifiers[j] for j in slots]
     probs = np.concatenate([predict(rec.model, features) for rec in records], axis=1)
-    return fused_results(probs, top_x(probs, cfg.fusion_x), slots,
-                         [rec.partition for rec in records])
+    return ranking(probs, top_x(probs, cfg.fusion_x), slots, [rec.partition for rec in records])
 
 
-def success_ratio(results: Sequence[FusedResult], queries: Sequence[MappedImage],
+def success_ratio(results: Ranking, queries: Sequence[MappedImage],
                   error: float, mode: str = "rank1") -> float:
     """Fraction of queries whose predicted place lies within `error` meters
     of ground truth (rank-1 candidate, or any candidate for mode "topx")."""
-    if not results or len(results) != len(queries):
+    if not len(results) or len(results) != len(queries):
         raise ValueError("results and queries must be non-empty and aligned")
     if mode not in SUCCESS_MODES:
         raise ValueError("mode must be rank1 or topx")
-    hits = 0
-    for res, q in zip(results, queries):
-        cands = res.ranked[:1] if mode == "rank1" else res.ranked
-        if any(viewpoint_distance(c.location, q.viewpoint) < error for c in cands):
-            hits += 1
+    truth = np.array([(q.viewpoint.x, q.viewpoint.y) for q in queries])
+    xy = results.poses[:, :1, :2] if mode == "rank1" else results.poses[..., :2]
+    d = xy - truth[:, None, :]
+    # math.hypot as core.viewpoint_distance takes it: np.hypot differs in
+    # the last bit on some inputs, which can move a ratio.
+    dist = list(map(math.hypot, d[..., 0].ravel().tolist(), d[..., 1].ravel().tolist()))
+    hits = np.count_nonzero((np.reshape(dist, d.shape[:2]) < error).any(axis=1))
     return hits / len(results)
 
 
@@ -192,48 +205,47 @@ def success_ratio(results: Sequence[FusedResult], queries: Sequence[MappedImage]
 # counts (capacity, mission, class counts, model dimensions), never on the
 # amount of data each season contained.
 
-
-def _pack_viewpoint(vp: Viewpoint) -> bytes:
-    return struct.pack("<3d", vp.x, vp.y, vp.theta)
-
-
-def _pack_array(a: np.ndarray) -> np.ndarray:
-    # The array itself when it is already contiguous little-endian float64:
-    # bytes.join copies it once, with no intermediate bytes object.
-    return np.ascontiguousarray(a, dtype="<f8")
+_COUNTS = Struct("<QQI")  # mission, capacity, records
+_U32 = Struct("<I")
+_FLAG = Struct("<B")
+_DIMS = Struct("<III")  # feature_dim, hidden, n_classes
+_LOSS = Struct("<Bd")  # present, final_loss
+_SEED = Struct("<Bq")  # present, seed
+_PARTITION = Struct("<IBI")  # source_season, method code, classes
+_U8 = np.dtype("u1")
+_F64 = np.dtype("<f8")
 
 
 def _serialize(state: EnsembleState) -> bytes:
-    parts = [struct.pack("<QQI", state.mission, state.capacity, len(state.classifiers))]
+    parts = [_COUNTS.pack(state.mission, state.capacity, len(state.classifiers))]
     for rec in state.classifiers:
-        parts.append(struct.pack("<I", len(rec.history)))
+        parts.append(_U32.pack(len(rec.history)))
         parts.append(bytes(rec.history.bits))
         if rec.model is None:
-            parts.append(struct.pack("<B", 0))
+            parts.append(_FLAG.pack(0))
         else:
             m = rec.model
-            parts.append(struct.pack("<B", 1))
-            parts.append(struct.pack("<III", m.feature_dim, m.hidden, m.n_classes))
-            parts.extend(_pack_array(a) for a in (m.w1, m.b1, m.w2, m.b2))
+            parts.append(_FLAG.pack(1))
+            parts.append(_DIMS.pack(m.feature_dim, m.hidden, m.n_classes))
+            # Each array itself when it is already contiguous little-endian
+            # float64: bytes.join copies it once, with no intermediate bytes.
+            parts.extend(np.ascontiguousarray(a, dtype=_F64) for a in (m.w1, m.b1, m.w2, m.b2))
             has_loss = m.final_loss is not None
-            parts.append(struct.pack("<Bd", int(has_loss), m.final_loss if has_loss else 0.0))
+            parts.append(_LOSS.pack(int(has_loss), m.final_loss if has_loss else 0.0))
             has_seed = m.seed is not None
-            parts.append(struct.pack("<Bq", int(has_seed), m.seed if has_seed else 0))
+            parts.append(_SEED.pack(int(has_seed), m.seed if has_seed else 0))
         if rec.partition is None:
-            parts.append(struct.pack("<B", 0))
+            parts.append(_FLAG.pack(0))
         else:
             p = rec.partition
-            parts.append(struct.pack("<B", 1))
-            parts.append(
-                struct.pack("<IBI", p.source_season, PARTITION_METHOD_CODES[p.method],
-                            len(p.classes))
-            )
-            for cls in p.classes:
-                parts.append(struct.pack("<Iqq", cls.class_id, cls.keyframe_id,
-                                         cls.keyframe_timestamp))
-                parts.append(_pack_viewpoint(cls.keyframe_viewpoint))
-                parts.append(_pack_viewpoint(cls.representative))
-                parts.append(struct.pack("<I", cls.size))
+            parts.append(_FLAG.pack(1))
+            parts.append(_PARTITION.pack(p.source_season, PARTITION_METHOD_CODES[p.method],
+                                         len(p.classes)))
+            rows = np.empty(len(p.classes), CLASS_RECORD)
+            rows["class_id"] = np.arange(len(rows))
+            for name in SUMMARY_COLUMNS:
+                rows[name] = getattr(p, name)
+            parts.append(rows)
     return b"".join(parts)
 
 
@@ -242,84 +254,68 @@ class _Reader:
         self.blob = blob
         self.pos = 0
 
-    def take(self, fmt: str):
-        s = struct.Struct(fmt)
-        if self.pos + s.size > len(self.blob):
-            raise StateFormatError("truncated state payload")
-        vals = s.unpack_from(self.blob, self.pos)
-        self.pos += s.size
-        return vals
-
-    def raw(self, n: int) -> bytes | memoryview:
+    def _advance(self, n: int) -> int:
+        """The offset of the next n bytes, which must be there."""
         if self.pos + n > len(self.blob):
             raise StateFormatError("truncated state payload")
-        out = self.blob[self.pos:self.pos + n]
         self.pos += n
-        return out
+        return self.pos - n
 
-    def floats(self, count: int) -> np.ndarray:
-        """A read-only view of the next `count` little-endian float64 values."""
-        if self.pos + 8 * count > len(self.blob):
-            raise StateFormatError("truncated state payload")
-        out = np.frombuffer(self.blob, dtype="<f8", count=count, offset=self.pos)
-        self.pos += 8 * count
-        return out
+    def take(self, s: Struct) -> tuple:
+        return s.unpack_from(self.blob, self._advance(s.size))
 
-    def viewpoint(self) -> Viewpoint:
-        x, y, theta = self.take("<3d")
-        return Viewpoint(x, y, theta)
+    def array(self, dtype: np.dtype, count: int) -> np.ndarray:
+        """A read-only view of the next `count` items of `dtype`."""
+        return np.frombuffer(self.blob, dtype, count, self._advance(dtype.itemsize * count))
+
+
+def _partition(rows: np.ndarray, source_season: int, method: str) -> PartitionSummary:
+    """The summary of a partition's packed class records, which must hold
+    dense class ids, finite poses and headings in (-pi, pi]."""
+    if not np.array_equal(rows["class_id"], np.arange(len(rows))):
+        raise StateFormatError("partition class ids must be 0..K-1 in order")
+    poses = np.concatenate([rows["keyframe_poses"], rows["representatives"]])
+    if not np.isfinite(poses).all():
+        raise StateFormatError("non-finite pose in a partition record")
+    if not ((poses[:, 2] > -math.pi) & (poses[:, 2] <= math.pi)).all():
+        raise StateFormatError("heading outside (-pi, pi] in a partition record")
+    return PartitionSummary(**{name: rows[name] for name in SUMMARY_COLUMNS},
+                            source_season=source_season, method=method)
 
 
 def _deserialize(blob: bytes | memoryview) -> EnsembleState:
     r = _Reader(blob)
-    mission, capacity, n_records = r.take("<QQI")
+    mission, capacity, n_records = r.take(_COUNTS)
     records = []
     for _ in range(n_records):
-        (hist_len,) = r.take("<I")
-        bits = tuple(r.raw(hist_len))
-        history = RetrainHistory(bits)
-        (has_model,) = r.take("<B")
+        (hist_len,) = r.take(_U32)
+        history = RetrainHistory(tuple(r.array(_U8, hist_len).tolist()))
+        (has_model,) = r.take(_FLAG)
         model = None
         if has_model:
-            f_dim, hidden, n_classes = r.take("<III")
+            f_dim, hidden, n_classes = r.take(_DIMS)
             if min(f_dim, hidden, n_classes) < 1:
                 raise StateFormatError("model dimensions must be >= 1")
             # w1, b1, w2, b2 back to back. Python ints: a product of crafted
-            # u32 dimensions cannot wrap, and floats() checks the length
+            # u32 dimensions cannot wrap, and array() checks the length
             # before anything is allocated.
-            params = r.floats(hidden * f_dim + hidden + n_classes * hidden + n_classes)
-            has_loss, loss = r.take("<Bd")
-            has_seed, seed = r.take("<Bq")
+            params = r.array(_F64, hidden * f_dim + hidden + n_classes * hidden + n_classes)
+            has_loss, loss = r.take(_LOSS)
+            has_seed, seed = r.take(_SEED)
             model = model_from_flat(params, f_dim, hidden, n_classes,
                                     final_loss=loss if has_loss else None,
                                     seed=seed if has_seed else None)
-        (has_partition,) = r.take("<B")
+        (has_partition,) = r.take(_FLAG)
         partition = None
         if has_partition:
-            source_season, method_code, n_classes_p = r.take("<IBI")
+            source_season, method_code, n_classes_p = r.take(_PARTITION)
             if method_code not in _METHOD_BY_CODE:
                 raise StateFormatError(f"unknown partition method code {method_code}")
-            classes = []
-            for _ in range(n_classes_p):
-                class_id, kf_id, kf_ts = r.take("<Iqq")
-                kf_vp = r.viewpoint()
-                rep = r.viewpoint()
-                (size,) = r.take("<I")
-                classes.append(
-                    ClassSummary(
-                        class_id=class_id,
-                        keyframe_id=kf_id,
-                        keyframe_timestamp=kf_ts,
-                        keyframe_viewpoint=kf_vp,
-                        representative=rep,
-                        size=size,
-                    )
-                )
-            partition = PartitionSummary(
-                classes=tuple(classes),
-                source_season=source_season,
-                method=_METHOD_BY_CODE[method_code],
-            )
+            if model is not None and n_classes_p != model.n_classes:
+                raise StateFormatError(f"partition of {n_classes_p} classes for a model "
+                                       f"of {model.n_classes}")
+            partition = _partition(r.array(CLASS_RECORD, n_classes_p), source_season,
+                                   _METHOD_BY_CODE[method_code])
         records.append(ClassifierRecord(history=history, partition=partition, model=model))
     if r.pos != len(blob):
         raise StateFormatError("trailing bytes in state payload")

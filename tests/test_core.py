@@ -210,11 +210,12 @@ def test_place_class_members_are_ascending_and_non_empty():
 
 def test_partition_summary_reads_keyframe_and_centroid_from_the_season(line7):
     part = build_partition(line7, PartitionConfig())  # t_d 18 m: images 0-5, then 6
-    first, last = part.summary(line7).classes
-    assert (first.keyframe_id, first.keyframe_timestamp, first.size) == (0, 0, 6)
-    assert first.keyframe_viewpoint == Viewpoint(0.0, 0.0, 0.0)
-    assert (first.representative.x, first.representative.y) == (7.5, 0.0)
-    assert (last.keyframe_id, last.keyframe_timestamp, last.size) == (6, 6_000_000, 1)
-    assert last.representative == Viewpoint(18.0, 0.0, 0.0)
+    s = part.summary(line7)
+    assert s.keyframe_ids.tolist() == [0, 6]
+    assert s.keyframe_timestamps.tolist() == [0, 6_000_000]
+    assert s.sizes.tolist() == [6, 1]
+    assert s.keyframe_poses[0].tolist() == [0.0, 0.0, 0.0]
+    assert s.representatives[0, :2].tolist() == [7.5, 0.0]
+    assert s.representatives[1].tolist() == [18.0, 0.0, 0.0]
     with pytest.raises(ValueError, match="season"):
         part.summary(line_training_set(7, season_id=2))

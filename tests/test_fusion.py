@@ -4,10 +4,11 @@ import pytest
 from seasonvpc import (
     FusedResult,
     GlobalCandidate,
+    Ranking,
     Viewpoint,
     fuse,
-    fused_results,
     partition_by_location,
+    ranking,
     top_x,
 )
 
@@ -29,7 +30,7 @@ def _cand(slot, cid, prob, x=0.0):
 def _ranked(probs, parts, x, slots=None):
     probs = np.array([probs])
     slots = list(range(len(parts))) if slots is None else slots
-    return list(fused_results(probs, top_x(probs, x), slots, parts)[0].ranked)
+    return list(ranking(probs, top_x(probs, x), slots, parts)[0].ranked)
 
 
 def test_top_x_sorts_by_probability():
@@ -37,7 +38,7 @@ def test_top_x_sorts_by_probability():
     out = _ranked([0.1, 0.7, 0.2], [part], 2)
     assert [c.class_id for c in out] == [1, 2]
     assert [c.probability for c in out] == [0.7, 0.2]
-    assert out[0].location == part.classes[1].representative
+    assert out[0].location == Viewpoint(*part.representatives[1])
 
 
 def test_top_x_with_x_at_least_k_returns_all():
@@ -53,7 +54,7 @@ def test_top_x_tie_breaks_to_lower_slot_then_class():
     out = _ranked([0.1, 0.45, 0.45, 0.1, 0.45], [a, b], 5, slots=[1, 3])
     assert [(c.source_classifier, c.class_id) for c in out] == \
         [(1, 1), (3, 0), (3, 2), (1, 0), (3, 1)]
-    assert out[1].location == b.classes[0].representative
+    assert out[1].location == Viewpoint(*b.representatives[0])
 
 
 def test_top_x_validates_sizes():
@@ -174,3 +175,44 @@ def test_fuse_invariant_under_input_order():
         fused = fuse(lists, x)
         perm = [lists[i] for i in rng.permutation(len(lists))]
         assert fuse(perm, x) == fused  # slot ids travel with candidates
+
+
+def _random_ranking(rng, n, x):
+    """A Ranking of n rows of x candidates, probabilities non-increasing."""
+    probs = -np.sort(-rng.random((n, x)), axis=1)
+    poses = rng.normal(0.0, 20.0, size=(n, x, 3))
+    poses[..., 2] = rng.uniform(-np.pi, np.pi, size=(n, x))
+    poses[0, 0, 2] = np.pi
+    return Ranking(slots=rng.integers(0, 4, size=(n, x)), classes=rng.integers(0, 50, size=(n, x)),
+                   probabilities=probs, poses=poses)
+
+
+def test_ranking_items_are_the_rows_as_fused_results():
+    rng = np.random.default_rng(2)
+    r = _random_ranking(rng, 5, 3)
+    want = [FusedResult(tuple(
+        GlobalCandidate(int(r.slots[i, j]), int(r.classes[i, j]), float(r.probabilities[i, j]),
+                        Viewpoint(*r.poses[i, j].tolist()))
+        for j in range(3))) for i in range(5)]
+    assert len(r) == 5
+    assert [r[i] for i in range(5)] == want
+    assert list(r) == want
+    assert r == want and r == tuple(want)
+    assert r[-1] == want[4] and r[-5] == want[0]
+    for bad in (5, -6):
+        with pytest.raises(IndexError):
+            r[bad]
+    assert isinstance(r[1:4], Ranking)
+    assert r[1:4] == want[1:4] and r[::-2] == want[::-2]
+    assert r[3:3] == [] and len(r[3:3]) == 0
+    assert r != want[:4] and r != want[::-1]
+    assert r[0].ranked[0].location.theta == np.pi
+    assert (r == "abc") is False
+
+
+def test_empty_ranking_equals_empty_list():
+    empty = Ranking.empty()
+    assert len(empty) == 0 and list(empty) == []
+    assert empty == [] and [] == empty
+    with pytest.raises(IndexError):
+        empty[0]

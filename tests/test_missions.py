@@ -1,16 +1,21 @@
 import errno
 import hashlib
 import io
+import logging
+import math
 
 import numpy as np
 import pytest
 
 from seasonvpc import (
+    MappedImage,
     MissionConfig,
     PartitionConfig,
+    Ranking,
     StrategyConfig,
     SynthConfig,
     TrainConfig,
+    Viewpoint,
     initial_state,
     load_state,
     models_equal,
@@ -22,9 +27,10 @@ from seasonvpc import (
     states_equal,
     success_ratio,
     synth_generate,
+    viewpoint_distance,
 )
 from seasonvpc import missions
-from seasonvpc.missions import StateFormatError
+from seasonvpc.missions import SINGLETON_WARN_FRACTION, StateFormatError
 
 
 def _synth(n_seasons=5, seed=0, **kw):
@@ -119,7 +125,8 @@ def test_run_vpc_single_classifier_matches_direct_ranking():
     rec = state.classifiers[0]
     for q, res in zip(queries, results):
         probs = predict(rec.model, np.asarray(q.feature, float)[None, :])
-        direct = [(0, c, float(probs[0, c]), rec.partition.classes[c].representative)
+        direct = [(0, c, float(probs[0, c]),
+                   Viewpoint(*rec.partition.representatives[c].tolist()))
                   for c in top_x(probs, cfg.fusion_x)[0].tolist()]
         assert [(c.source_classifier, c.class_id, c.probability, c.location)
                 for c in res.ranked] == direct
@@ -200,6 +207,61 @@ def test_success_ratio_exact_and_hopeless_cases():
     results = run_vpc(state, queries, cfg)
     assert success_ratio(results, queries, 1e9) == 1.0
     assert success_ratio(results, queries, 1e-9) == 0.0
+
+
+def _reference_ratio(ranking, queries, error, mode):
+    """success_ratio over the candidates as FusedResults, one distance each."""
+    hits = 0
+    for res, q in zip(ranking, queries):
+        cands = res.ranked[:1] if mode == "rank1" else res.ranked
+        hits += any(viewpoint_distance(c.location, q.viewpoint) < error for c in cands)
+    return hits / len(queries)
+
+
+def test_success_ratio_equals_per_candidate_reference_at_the_threshold():
+    rng = np.random.default_rng(5)
+    moved = 0
+    for _ in range(40):
+        n, x = int(rng.integers(1, 30)), int(rng.integers(1, 11))
+        poses = rng.normal(0.0, 20.0, size=(n, x, 3))
+        poses[..., 2] = rng.uniform(-np.pi, np.pi, size=(n, x))
+        ranking = Ranking(slots=np.zeros((n, x), np.int64),
+                          classes=np.tile(np.arange(x), (n, 1)),
+                          probabilities=np.full((n, x), 1.0 / x), poses=poses)
+        queries = [MappedImage(id=i, timestamp=i, feature=np.zeros(1),
+                               viewpoint=Viewpoint(*rng.normal(0.0, 20.0, size=2)))
+                   for i in range(n)]
+        dist = np.array([[viewpoint_distance(c.location, q.viewpoint) for c in res.ranked]
+                         for res, q in zip(ranking, queries)])
+        # thresholds exactly at a rank-1 or any candidate's distance, and one
+        # ulp either side of it
+        for d in [*rng.choice(dist[:, 0], size=2), *rng.choice(dist.ravel(), size=2)]:
+            for mode in ("rank1", "topx"):
+                ratios = []
+                for error in (math.nextafter(d, 0.0), d, math.nextafter(d, math.inf)):
+                    ratios.append(success_ratio(ranking, queries, error, mode))
+                    assert ratios[-1] == _reference_ratio(ranking, queries, error, mode)
+                moved += ratios[1] < ratios[2]
+    assert moved >= 100  # the thresholds did split candidates
+
+
+def test_adaptation_warns_once_when_most_classes_are_singletons(caplog):
+    season = synth_generate(SynthConfig())[0]
+    cfg = MissionConfig(strategy=StrategyConfig("ST1"), capacity=1,
+                        partition=PartitionConfig(method="incremental"),
+                        train=TrainConfig(epochs=1))
+    with caplog.at_level(logging.WARNING, logger="seasonvpc"):
+        state = run_adaptation(initial_state(1), season, cfg)
+    sizes = state.classifiers[0].partition.sizes
+    singletons = int(np.sum(sizes == 1))
+    assert singletons > SINGLETON_WARN_FRACTION * len(sizes)
+    assert [r.levelno for r in caplog.records] == [logging.WARNING]
+    assert f"{singletons} of {len(sizes)} place classes" in caplog.records[0].getMessage()
+    caplog.clear()
+    upd1 = MissionConfig(strategy=StrategyConfig("ST1"), capacity=1, train=TrainConfig(epochs=1))
+    with caplog.at_level(logging.WARNING, logger="seasonvpc"):
+        run_adaptation(initial_state(1), season, upd1)
+    assert caplog.records == []
 
 
 def _four_mission_state(seed=0, **synth_kw):
@@ -326,9 +388,8 @@ def test_state_size_independent_of_dataset_length(tmp_path):
     assert pa.stat().st_size == pb.stat().st_size
     # member counts did double, confirming the datasets really differ
     assert all(
-        cb.size == 2 * ca.size
+        np.array_equal(rb.partition.sizes, 2 * ra.partition.sizes)
         for ra, rb in zip(a.classifiers, b.classifiers)
-        for ca, cb in zip(ra.partition.classes, rb.partition.classes)
     )
 
 

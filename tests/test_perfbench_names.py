@@ -3,6 +3,8 @@ name, and reads a few attributes of what they return. A rename or deletion
 in the package must fail here, in tier 1, not only when the benchmark runs."""
 
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import seasonvpc
@@ -85,3 +87,11 @@ def test_traced_training_spans_carry_their_counts(monkeypatch):
     counts = {name: c for _sid, _parent, _trace, _rep, name, _start, _end, c in tracer.spans}
     for name in ("classify.train", "classify.fine_tune"):
         assert counts[name]["sgd_steps"] > 0 and counts[name]["gflop"] > 0, name
+
+
+def test_perfbench_smoke_passes():
+    # The whole benchmark on its tiny workload, traced and untraced: it reads
+    # run_vpc's rankings, the states and the partitions through the API.
+    proc = subprocess.run([sys.executable, "perfbench/smoke.py"], cwd=PERFBENCH.parent,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

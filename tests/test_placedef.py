@@ -39,7 +39,7 @@ def _class_ranges_contiguous(partition, n_images):
 def test_location_partition_line_example(line7):
     p = partition_by_location(line7, 18.0)
     assert [c.members.tolist() for c in p.classes] == [[0, 1, 2, 3, 4, 5], [6]]
-    kf = [c.keyframe_id for c in p.summary(line7).classes]
+    kf = p.summary(line7).keyframe_ids.tolist()
     assert kf == [0, 6]
 
 

@@ -6,14 +6,12 @@ import pytest
 
 from seasonvpc import (
     ClassifierRecord,
-    ClassSummary,
     EnsembleState,
     MissionConfig,
     PartitionSummary,
     RetrainHistory,
     StrategyConfig,
     TrainingSet,
-    Viewpoint,
     init_model,
     queries_from_set,
     run_vpc,
@@ -28,13 +26,11 @@ from vpc_oracle import predict_one, run_vpc_reference
 
 
 def _partition(rng, k):
-    classes = tuple(
-        ClassSummary(class_id=c, keyframe_id=c, keyframe_timestamp=c,
-                     keyframe_viewpoint=Viewpoint(0.0, 0.0),
-                     representative=Viewpoint(*rng.normal(0.0, 50.0, size=2)), size=1)
-        for c in range(k)
-    )
-    return PartitionSummary(classes=classes, source_season=1, method="location")
+    representatives = np.zeros((k, 3))
+    representatives[:, :2] = rng.normal(0.0, 50.0, size=(k, 2))
+    return PartitionSummary(keyframe_ids=np.arange(k), keyframe_timestamps=np.arange(k),
+                            keyframe_poses=np.zeros((k, 3)), representatives=representatives,
+                            sizes=np.ones(k), source_season=1, method="location")
 
 
 def _model_with_ties(rng, f_dim, k, seed):

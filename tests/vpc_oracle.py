@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from seasonvpc import FusedResult, GlobalCandidate
+from seasonvpc import FusedResult, GlobalCandidate, Viewpoint
 from seasonvpc.missions import active_slots
 
 
@@ -29,7 +29,7 @@ def top_x_one(probs: np.ndarray, partition, x: int, slot: int) -> list[GlobalCan
     order = sorted(range(len(probs)), key=lambda c: (-float(probs[c]), c))
     return [
         GlobalCandidate(source_classifier=slot, class_id=c, probability=float(probs[c]),
-                        location=partition.classes[c].representative)
+                        location=Viewpoint(*partition.representatives[c].tolist()))
         for c in order[:x]
     ]
 

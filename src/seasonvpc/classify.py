@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import require_integers
+from .core import require_integers, require_reals
 
 
 @dataclass(frozen=True)
@@ -27,6 +27,7 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         require_integers(self, "epochs", "batch_size", "hidden", "seed")
+        require_reals(self, "learning_rate", "weight_scale")
         if self.learning_rate <= 0 or self.batch_size < 1 or self.hidden < 1:
             raise ValueError("learning_rate, batch_size and hidden must be positive")
         if self.epochs < 0 or self.weight_scale < 0 or self.seed < 0:

@@ -16,7 +16,7 @@ from pathlib import Path
 from . import report
 from .classify import TrainConfig
 from .core import TrainingSet, require_integers
-from .data import DataError, SynthConfig, load_bundle, load_manifest, synth_generate
+from .data import DataError, SynthConfig, load_bundle, load_manifest, read_json, synth_generate
 from .missions import (
     SUCCESS_MODES,
     MissionConfig,
@@ -121,13 +121,7 @@ def load_experiment_spec(path: str | None, args: argparse.Namespace | None = Non
     None) with `args`' run flags applied on top."""
     if path is None:
         return _build_spec(_DEMO_SPEC, args)
-    try:
-        doc = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise DataError(f"cannot read spec file {path}: {exc}") from exc
-    except (ValueError, RecursionError) as exc:  # bad UTF-8, bad or too deeply nested JSON
-        raise DataError(f"{path}: invalid JSON: {exc}") from exc
-    return _build_spec(doc, args, path, Path(path).parent)
+    return _build_spec(read_json(path, "spec file"), args, path, Path(path).parent)
 
 
 def _check_kbar(strategy: StrategyConfig, n_missions: int) -> None:

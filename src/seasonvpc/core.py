@@ -10,7 +10,7 @@ across concurrent readers.
 from __future__ import annotations
 
 import math
-import operator
+import numbers
 from dataclasses import dataclass
 from collections.abc import Sequence
 from typing import TYPE_CHECKING
@@ -23,16 +23,25 @@ if TYPE_CHECKING:
 TAU = 2.0 * math.pi
 
 
-def require_integers(config, *names: str) -> None:
-    """Raise TypeError naming the first of `config`'s fields `names` that holds
-    neither None nor an integer (`operator.index`, so numpy integers pass)."""
+def _require(config, names: tuple[str, ...], cls: type, kind: str) -> None:
     for name in names:
         value = getattr(config, name)
-        if value is not None:
-            try:
-                operator.index(value)
-            except TypeError:
-                raise TypeError(f"{name} must be an integer, got {value!r}") from None
+        # A bool is refused: JSON's true and false would pass as 1 and 0.
+        if value is not None and (isinstance(value, bool) or not isinstance(value, cls)):
+            raise TypeError(f"{name} must be {kind}, got {value!r}")
+
+
+def require_integers(config, *names: str) -> None:
+    """Raise TypeError naming the first of `config`'s fields `names` that holds
+    neither None nor an integer (`numbers.Integral`, so numpy integers pass;
+    bools do not)."""
+    _require(config, names, numbers.Integral, "an integer")
+
+
+def require_reals(config, *names: str) -> None:
+    """Raise TypeError naming the first of `config`'s fields `names` that holds
+    neither None nor a real number (`numbers.Real`; bools do not pass)."""
+    _require(config, names, numbers.Real, "a real number")
 
 
 def normalize_angle(theta: float) -> float:
@@ -154,14 +163,20 @@ class SeasonRows(Sequence):
                            viewpoint=Viewpoint(*s.poses[i].tolist()), feature=s.features[i])
 
 
+def step_lengths(poses: np.ndarray) -> list[float]:
+    """The planar distance from each pose row (x, y, heading) to the next."""
+    xy = poses[:, :2].tolist()
+    return [math.hypot(x0 - x1, y0 - y1) for (x0, y0), (x1, y1) in zip(xy, xy[1:])]
+
+
 def path_length(train: TrainingSet, start: int, end: int) -> float:
-    """Travel distance along the season from image start to end (inclusive)."""
+    """Travel distance along the season from image start to end (inclusive),
+    summed step by step in order."""
     if start < 0 or end >= len(train) or start > end:
         raise ValueError(f"invalid range [{start}, {end}] for {len(train)} images")
-    xy = train.poses[start:end + 1, :2].tolist()
     total = 0.0
-    for (x0, y0), (x1, y1) in zip(xy, xy[1:]):
-        total += math.hypot(x0 - x1, y0 - y1)
+    for step in step_lengths(train.poses[start:end + 1]):
+        total += step
     return total
 
 
@@ -192,10 +207,9 @@ class RetrainHistory:
         return len(self.bits)
 
 
-def ones_count(history: "RetrainHistory | Sequence[int]") -> int:
+def ones_count(history: RetrainHistory) -> int:
     """Number of 1-bits in a retrain history."""
-    bits = history.bits if isinstance(history, RetrainHistory) else tuple(history)
-    return int(sum(bits))
+    return history.bits.count(1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import TrainingSet, Viewpoint, require_integers
+from .core import TrainingSet, Viewpoint, require_integers, require_reals
 
 FEATURE_MAGIC = b"FVEC"
 FEATURE_VERSION = 1
@@ -159,34 +159,46 @@ def associate(timestamps: np.ndarray, poses: np.ndarray, features: np.ndarray, *
         raise DataError(f"season {season_id}: {exc}") from exc
 
 
+def read_json(path, what: str):
+    """Parse the JSON file at `path`. One that cannot be read or parsed is a
+    DataError that calls it `what` ("manifest", "spec file")."""
+    try:
+        return json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise DataError(f"cannot read {what} {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, bad or too deeply nested JSON
+        raise DataError(f"{path}: invalid JSON: {exc}") from exc
+
+
 def load_manifest(path) -> tuple[int, list[DatasetBundle]]:
     """Read a dataset manifest: feature dimension plus one entry per season.
 
     Paths inside the manifest are resolved relative to its directory.
     """
     path = Path(path)
+    doc = read_json(path, "manifest")
+
+    def integer(entry: dict, key: str) -> int:
+        value = entry[key]
+        if isinstance(value, bool) or not isinstance(value, int):  # JSON true would pass as 1
+            raise DataError(f"{path}: malformed manifest field: {key} must be an integer, "
+                            f"got {value!r}")
+        return value
+
     try:
-        doc = json.loads(path.read_text())
-    except OSError as exc:
-        raise DataError(f"cannot read manifest {path}: {exc}") from exc
-    except (ValueError, RecursionError) as exc:  # bad UTF-8, bad or too deeply nested JSON
-        raise DataError(f"{path}: invalid JSON: {exc}") from exc
-    try:
-        f_dim = int(doc["feature_dim"])
+        f_dim = integer(doc, "feature_dim")
         entries = doc["seasons"]
         bundles = [
             DatasetBundle(
                 poses_path=path.parent / e["poses"],
                 features_path=path.parent / e["features"],
                 label=str(e.get("label", "")),
-                season_id=int(e["season_id"]),
+                season_id=integer(e, "season_id"),
             )
             for e in entries
         ]
     except (KeyError, TypeError) as exc:
         raise DataError(f"{path}: manifest missing field: {exc}") from exc
-    except (ValueError, OverflowError) as exc:  # int() of "abc", NaN or infinity
-        raise DataError(f"{path}: malformed manifest field: {exc}") from exc
     if f_dim < 1:
         raise DataError(f"{path}: feature_dim must be >= 1, got {f_dim}")
     if not bundles:
@@ -219,6 +231,7 @@ class SynthConfig:
 
     def __post_init__(self) -> None:
         require_integers(self, "n_places", "images_per_place", "feature_dim", "n_seasons", "seed")
+        require_reals(self, "loop_length", "place_signal", "season_drift", "noise", "pose_jitter")
         counts = (self.n_places, self.images_per_place, self.feature_dim, self.n_seasons)
         if min(counts) < 1 or self.seed < 0:
             raise ValueError("counts must be >= 1 and seed >= 0")

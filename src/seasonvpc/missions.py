@@ -31,7 +31,7 @@ from .core import (
 # fuse is not called here; it stays importable from this module next to the
 # other layer functions, which perfbench/spans.py patches by name.
 from .fusion import Ranking, fuse, ranking, top_x  # noqa: F401
-from .placedef import PartitionConfig, build_partition
+from .placedef import PARTITION_METHODS, PartitionConfig, build_partition
 from .sched import Schedule, StrategyConfig, next_schedule, st3_fusion_filter
 
 STATE_MAGIC = b"SVPC"
@@ -44,9 +44,6 @@ SUCCESS_MODES = ("rank1", "topx")
 # run_adaptation warns when more than this share of a new partition's classes
 # hold a single image: each of them trains its class on one example.
 SINGLETON_WARN_FRACTION = 0.5
-
-PARTITION_METHOD_CODES = {"location": 0, "location-appearance": 1, "incremental": 2}
-_METHOD_BY_CODE = {v: k for k, v in PARTITION_METHOD_CODES.items()}
 
 
 class StateFormatError(Exception):
@@ -71,7 +68,8 @@ class MissionConfig:
             raise ValueError(f"capacity must be <= {MAX_CAPACITY}")
         thresholds = self.error_thresholds
         if not isinstance(thresholds, (list, tuple)) or not thresholds or not all(
-                isinstance(t, numbers.Real) and math.isfinite(t) and t > 0 for t in thresholds):
+                isinstance(t, numbers.Real) and not isinstance(t, bool) and math.isfinite(t)
+                and t > 0 for t in thresholds):
             raise ValueError("error_thresholds must be positive and finite numbers")
         object.__setattr__(self, "error_thresholds", tuple(thresholds))
         if self.success_mode not in SUCCESS_MODES:
@@ -211,7 +209,7 @@ _FLAG = Struct("<B")
 _DIMS = Struct("<III")  # feature_dim, hidden, n_classes
 _LOSS = Struct("<Bd")  # present, final_loss
 _SEED = Struct("<Bq")  # present, seed
-_PARTITION = Struct("<IBI")  # source_season, method code, classes
+_PARTITION = Struct("<IBI")  # source_season, method code (index in PARTITION_METHODS), classes
 _U8 = np.dtype("u1")
 _F64 = np.dtype("<f8")
 
@@ -239,7 +237,7 @@ def _serialize(state: EnsembleState) -> bytes:
         else:
             p = rec.partition
             parts.append(_FLAG.pack(1))
-            parts.append(_PARTITION.pack(p.source_season, PARTITION_METHOD_CODES[p.method],
+            parts.append(_PARTITION.pack(p.source_season, PARTITION_METHODS.index(p.method),
                                          len(p.classes)))
             rows = np.empty(len(p.classes), CLASS_RECORD)
             rows["class_id"] = np.arange(len(rows))
@@ -268,6 +266,20 @@ class _Reader:
         """A read-only view of the next `count` items of `dtype`."""
         return np.frombuffer(self.blob, dtype, count, self._advance(dtype.itemsize * count))
 
+    def optional(self, s: Struct, name: str):
+        """The next optional field `s`: a presence byte, 0 or 1, then the
+        field's value, whose bytes are zero when the byte is 0. The value, or
+        True for a bare presence byte (`_FLAG`); None when absent."""
+        start = self.pos
+        present, *value = self.take(s)
+        if present > 1:
+            raise StateFormatError(f"{name} presence byte is {present}, not 0 or 1")
+        if not present:
+            if any(self.blob[start + 1:self.pos]):
+                raise StateFormatError(f"absent {name} has non-zero value bytes")
+            return None
+        return value[0] if value else True
+
 
 def _partition(rows: np.ndarray, source_season: int, method: str) -> PartitionSummary:
     """The summary of a partition's packed class records, which must hold
@@ -290,9 +302,8 @@ def _deserialize(blob: bytes | memoryview) -> EnsembleState:
     for _ in range(n_records):
         (hist_len,) = r.take(_U32)
         history = RetrainHistory(tuple(r.array(_U8, hist_len).tolist()))
-        (has_model,) = r.take(_FLAG)
         model = None
-        if has_model:
+        if r.optional(_FLAG, "model"):
             f_dim, hidden, n_classes = r.take(_DIMS)
             if min(f_dim, hidden, n_classes) < 1:
                 raise StateFormatError("model dimensions must be >= 1")
@@ -300,22 +311,19 @@ def _deserialize(blob: bytes | memoryview) -> EnsembleState:
             # u32 dimensions cannot wrap, and array() checks the length
             # before anything is allocated.
             params = r.array(_F64, hidden * f_dim + hidden + n_classes * hidden + n_classes)
-            has_loss, loss = r.take(_LOSS)
-            has_seed, seed = r.take(_SEED)
             model = model_from_flat(params, f_dim, hidden, n_classes,
-                                    final_loss=loss if has_loss else None,
-                                    seed=seed if has_seed else None)
-        (has_partition,) = r.take(_FLAG)
+                                    final_loss=r.optional(_LOSS, "final_loss"),
+                                    seed=r.optional(_SEED, "seed"))
         partition = None
-        if has_partition:
+        if r.optional(_FLAG, "partition"):
             source_season, method_code, n_classes_p = r.take(_PARTITION)
-            if method_code not in _METHOD_BY_CODE:
+            if method_code >= len(PARTITION_METHODS):
                 raise StateFormatError(f"unknown partition method code {method_code}")
             if model is not None and n_classes_p != model.n_classes:
                 raise StateFormatError(f"partition of {n_classes_p} classes for a model "
                                        f"of {model.n_classes}")
             partition = _partition(r.array(CLASS_RECORD, n_classes_p), source_season,
-                                   _METHOD_BY_CODE[method_code])
+                                   PARTITION_METHODS[method_code])
         records.append(ClassifierRecord(history=history, partition=partition, model=model))
     if r.pos != len(blob):
         raise StateFormatError("trailing bytes in state payload")

@@ -9,8 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (PlaceClass, PlacePartition, TrainingSet, angle_difference, path_length,
-                   require_integers)
+from .core import (PlaceClass, PlacePartition, TrainingSet, angle_difference,
+                   require_integers, require_reals, step_lengths)
 
 PARTITION_METHODS = ("location", "location-appearance", "incremental")
 
@@ -28,6 +28,7 @@ class PartitionConfig:
 
     def __post_init__(self) -> None:
         require_integers(self, "k", "kmeans_iters", "seed")
+        require_reals(self, "t_d", "pos_max", "ang_max", "feat_max")
         if self.method not in PARTITION_METHODS:
             raise ValueError(f"unknown partition method {self.method!r}")
         if self.t_d <= 0:
@@ -55,7 +56,8 @@ class ClusterAssignment:
 def default_k(n_images: int, t_d: float) -> int:
     # Appearance clusters are coarser than places: expected location-class
     # count (images ~3 m apart) divided by 4, and never more than the images.
-    return min(n_images, max(1, math.ceil(n_images * 3.0 / t_d / 4.0)))
+    # The cap comes before ceil: a tiny t_d makes the quotient infinite.
+    return max(1, math.ceil(min(n_images, n_images * 3.0 / t_d / 4.0)))
 
 
 def build_partition(train: TrainingSet, cfg: PartitionConfig) -> PlacePartition:
@@ -75,18 +77,8 @@ def partition_by_location(train: TrainingSet, t_d: float) -> PlacePartition:
     """
     if t_d <= 0:
         raise ValueError("t_d must be positive")
-    xy = train.poses[:, :2].tolist()
-    starts = [0]
-    cum = 0.0
-    for i in range(1, len(xy)):
-        cum += math.hypot(xy[i - 1][0] - xy[i][0], xy[i - 1][1] - xy[i][1])
-        if cum >= t_d:
-            starts.append(i)
-            cum = 0.0
-    bounds = starts + [len(xy)]
-    classes = tuple(PlaceClass(cid, np.arange(a, b))
-                    for cid, (a, b) in enumerate(zip(bounds, bounds[1:])))
-    return PlacePartition(classes=classes, source_season=train.season_id, method="location")
+    groups = _split_by_travel(step_lengths(train.poses), range(len(train)), t_d)
+    return _partition(train, groups, "location")
 
 
 def l2_normalize(f: np.ndarray) -> np.ndarray:
@@ -146,13 +138,17 @@ def kmeans(features: np.ndarray, k: int, iters: int = 50, seed: int = 0) -> Clus
     return ClusterAssignment(labels=labels, centroids=centroids, inertia_history=history)
 
 
-def _split_by_travel(train: TrainingSet, member_ids: list[int], t_d: float) -> list[list[int]]:
-    # Travel between consecutive members is measured along the full
-    # trajectory, so distance skipped through other clusters still counts.
+def _split_by_travel(steps: list[float], member_ids, t_d: float) -> list[list[int]]:
+    # steps[i] is the step from image i to i + 1. Travel between consecutive
+    # members sums every step between them, so distance skipped through other
+    # clusters still counts; cum adds it as a subtotal, as path_length sums it.
     runs: list[list[int]] = [[member_ids[0]]]
     cum = 0.0
     for prev, cur in zip(member_ids, member_ids[1:]):
-        cum += path_length(train, prev, cur)
+        travel = 0.0
+        for step in steps[prev:cur]:
+            travel += step
+        cum += travel
         if cum >= t_d:
             runs.append([cur])
             cum = 0.0
@@ -161,22 +157,26 @@ def _split_by_travel(train: TrainingSet, member_ids: list[int], t_d: float) -> l
     return runs
 
 
+def _partition(train: TrainingSet, groups: list[list[int]], method: str) -> PlacePartition:
+    """The partition of `train` whose class i holds the ascending ids `groups[i]`."""
+    classes = tuple(PlaceClass(cid, g) for cid, g in enumerate(groups))
+    return PlacePartition(classes=classes, source_season=train.season_id, method=method)
+
+
 def partition_location_appearance(train: TrainingSet, cfg: PartitionConfig) -> PlacePartition:
     """Two-stage partition: k-means on raw features, then each cluster is
     split into sub-clusters by travel distance along the trajectory."""
     k = cfg.k if cfg.k is not None else default_k(len(train), cfg.t_d)
     assignment = kmeans(train.features.astype(np.float64), k, iters=cfg.kmeans_iters,
                         seed=cfg.seed)
+    steps = step_lengths(train.poses)
     groups: list[list[int]] = []
     for c in range(k):
         member_ids = [int(i) for i in np.flatnonzero(assignment.labels == c)]
         if member_ids:
-            groups.extend(_split_by_travel(train, member_ids, cfg.t_d))
+            groups.extend(_split_by_travel(steps, member_ids, cfg.t_d))
     groups.sort(key=lambda g: g[0])
-    classes = tuple(PlaceClass(cid, g) for cid, g in enumerate(groups))
-    return PlacePartition(
-        classes=classes, source_season=train.season_id, method="location-appearance"
-    )
+    return _partition(train, groups, "location-appearance")
 
 
 def partition_incremental(train: TrainingSet, cfg: PartitionConfig) -> PlacePartition:
@@ -209,8 +209,7 @@ def partition_incremental(train: TrainingSet, cfg: PartitionConfig) -> PlacePart
             kf_xy.append((x, y))
             kf_theta.append(theta)
             kf_feat.append(feats[idx])
-    classes = tuple(PlaceClass(cid, g) for cid, g in enumerate(member_groups))
-    return PlacePartition(classes=classes, source_season=train.season_id, method="incremental")
+    return _partition(train, member_groups, "incremental")
 
 
 def incremental_margins(train: TrainingSet, partition: PlacePartition) -> list[dict]:

@@ -81,15 +81,15 @@ class Schedule:
 
 @dataclass(frozen=True)
 class ScheduleDecision:
-    """A chosen schedule for mission i, with the per-slot retrain mask."""
+    """A chosen schedule for mission i, and the slot spawned in it, if any."""
 
     schedule: Schedule
-    retrain_mask: tuple[int, ...]
     spawned_slot: int | None
 
-    def __post_init__(self) -> None:
-        if self.retrain_mask != tuple(h.last_bit() for h in self.schedule.histories):
-            raise ValueError("retrain mask must equal the last bit of each history")
+    @property
+    def retrain_mask(self) -> tuple[int, ...]:
+        """Per slot, 1 if it fine-tunes in mission i: its history's last bit."""
+        return tuple(h.last_bit() for h in self.schedule.histories)
 
 
 def weight_vector(k_bar: int, i: int) -> np.ndarray:
@@ -118,9 +118,6 @@ def slot_score(strategy: StrategyConfig, history: RetrainHistory, i: int) -> flo
 
 def score(strategy: StrategyConfig, schedule: Schedule, i: int) -> float:
     """Objective value of a whole schedule at mission i."""
-    for h in schedule.histories:
-        if len(h) != i:
-            raise ValueError(f"history length {len(h)} != mission {i}")
     return sum(slot_score(strategy, h, i) for h in schedule.histories)
 
 
@@ -146,12 +143,7 @@ def next_schedule(strategy: StrategyConfig, previous: Schedule, i: int,
         base = RetrainHistory((0,) * (i - 1))
         spawned = len(new_histories)
         new_histories.append(base.extended(_best_bit(strategy, base, i)))
-    schedule = Schedule(tuple(new_histories))
-    return ScheduleDecision(
-        schedule=schedule,
-        retrain_mask=tuple(h.last_bit() for h in schedule.histories),
-        spawned_slot=spawned,
-    )
+    return ScheduleDecision(schedule=Schedule(tuple(new_histories)), spawned_slot=spawned)
 
 
 def evolve_schedule(strategy: StrategyConfig, n_missions: int, capacity: int) -> Schedule:
@@ -170,11 +162,9 @@ def st3_fusion_filter(schedule: Schedule, k_bar: int) -> tuple[int, ...]:
     i = schedule.mission
     if i == 0:
         return ()
-    w = weight_vector(min(k_bar, i), i)
-    scored = []
-    for idx, h in enumerate(schedule.histories):
-        if ones_count(h) == 1:
-            scored.append((idx, float(np.dot(np.asarray(h.bits, dtype=float), w))))
+    st3 = StrategyConfig("ST3", k_bar=k_bar)
+    scored = [(idx, slot_score(st3, h, i))
+              for idx, h in enumerate(schedule.histories) if ones_count(h) == 1]
     if not scored:
         return ()
     top = max(v for _, v in scored)

@@ -51,8 +51,4 @@ def next_schedule_bruteforce(strategy: StrategyConfig, previous: Schedule, i: in
         if best_key is None or key < best_key:
             best, best_key = cand, key
     spawned = len(previous.histories) if len(previous.histories) < capacity else None
-    return ScheduleDecision(
-        schedule=best,
-        retrain_mask=tuple(h.last_bit() for h in best.histories),
-        spawned_slot=spawned,
-    )
+    return ScheduleDecision(schedule=best, spawned_slot=spawned)

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from seasonvpc import load_state
 from seasonvpc.cli import main
 
 
@@ -93,6 +94,19 @@ def test_placedef_location_and_incremental(tmp_path):
     assert (out2 / "insertions.csv").exists()
     header = (out2 / "insertions.csv").read_text().splitlines()[0]
     assert header == "image_id,class_id,pos_dist,ang_diff,feat_dist"
+
+
+@pytest.mark.parametrize("command", ["placedef", "run"])
+def test_tiny_td_under_location_appearance_gives_one_class_per_image(tmp_path, command):
+    # 1e-308 m asks for an infinite number of appearance clusters
+    flags = ["--upd", "location-appearance", "--td", "1e-308", "--out", str(tmp_path)]
+    assert main([command, *flags, *(["--missions", "1"] if command == "run" else [])]) == 0
+    if command == "placedef":
+        rows = (tmp_path / "partition.csv").read_text().splitlines()[1:]
+        assert [row.split(",") for row in rows] == [[str(i), str(i)] for i in range(len(rows))]
+    else:
+        partition = load_state(tmp_path / "state.svpc").classifiers[0].partition
+        assert partition.sizes.tolist() == [1] * len(partition.sizes)
 
 
 def test_placedef_missing_manifest_is_data_error(tmp_path, capsys):
@@ -359,6 +373,13 @@ IGNORED_SPEC_VALUES = {
     "k_bar": _set(None, "strategy", {"kind": "ST3", "k_bar": 1.5}),
     "st3_filter": _set(None, "strategy", {"kind": "ST3", "k_bar": 1, "st3_filter": "false"}),
     "mision": _set(None, "mision", 3),  # a misspelled top-level key
+    # JSON booleans, which would pass as 1 and 0
+    "capacity must be an integer, got True": _set(None, "capacity", True),
+    "epochs must be an integer, got False": _set("train", "epochs", False),
+    "t_d must be a real number, got True": _set("partition", "t_d", True),
+    "learning_rate must be a real number, got True": _set("train", "learning_rate", True),
+    "loop_length must be a real number, got False": _set("synth", "loop_length", False),
+    "error_thresholds": _set(None, "error_thresholds", [10.0, True]),
 }
 
 

@@ -204,6 +204,19 @@ def test_manifest_roundtrip(tmp_path):
         np.testing.assert_array_equal(getattr(loaded, column), getattr(seasons[0], column))
 
 
+@pytest.mark.parametrize("field", ["feature_dim", "season_id"])
+@pytest.mark.parametrize("value", [32.9, 2.0, True, "3"])
+def test_manifest_integer_field_of_another_type_is_data_error(tmp_path, field, value):
+    doc = {"feature_dim": 2, "seasons": [
+        {"poses": "p.csv", "features": "f.bin", "label": "x", "season_id": 1},
+    ]}
+    (doc if field == "feature_dim" else doc["seasons"][0])[field] = value
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match=f"{field} must be an integer, got {value!r}"):
+        load_manifest(manifest)
+
+
 def test_manifest_missing_file(tmp_path):
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps({"feature_dim": 2, "seasons": [

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from seasonvpc import (
     PartitionConfig,
+    SynthConfig,
     build_partition,
     incremental_margins,
     kmeans,
@@ -14,6 +16,7 @@ from seasonvpc import (
     partition_incremental,
     partition_location_appearance,
     path_length,
+    synth_generate,
 )
 from seasonvpc.report import partition_csv
 
@@ -119,10 +122,11 @@ def test_kmeans_deterministic():
 
 def test_location_appearance_k1_degenerates_to_location(line7):
     cfg = PartitionConfig(method="location-appearance", t_d=18.0, k=1)
-    pa = partition_location_appearance(line7, cfg)
-    pl = partition_by_location(line7, 18.0)
-    assert [c.members.tolist() for c in pa.classes] == \
-        [c.members.tolist() for c in pl.classes]
+    for train in [line7, *(_random_trajectory(seed) for seed in range(100))]:
+        pa = partition_location_appearance(train, cfg)
+        pl = partition_by_location(train, 18.0)
+        assert [c.members.tolist() for c in pa.classes] == \
+            [c.members.tolist() for c in pl.classes]
 
 
 def test_location_appearance_constant_features_k1(line7):
@@ -227,3 +231,31 @@ def test_partition_determinism_byte_for_byte():
         a = partition_csv(build_partition(train, cfg))
         b = partition_csv(build_partition(train, cfg))
         assert a.encode() == b.encode()
+
+
+# SHA-256 of partition.csv for each (method, t_d, k) on season 2 of a jittered
+# synthetic loop (72 images), recorded before UPD1 and UPD2 shared one travel
+# splitter. UPD3's angle and feature thresholds are widened to 1.0 so that it
+# merges images. A change to the travel rule or to a method's grouping shows.
+PINNED_PARTITIONS = {
+    ("location", 18.0, None): "9f0da2a02f0b0c02aa02388f8fd08e7a638e6d94ae2da1286e6179441ab2d9e8",
+    ("location", 5.0, None): "8b3917db1f7124d9b5b23c93b2364a9b89881ae316cc80856fa1ed756d94e569",
+    ("location-appearance", 18.0, None):
+        "460033ec34132a05c45a3256b63aa3180d6edfaac4e0146823237449eaa4dfc8",
+    ("location-appearance", 6.0, 5):
+        "97e70e42a29269db956c625a87348325d14436b4114f50c3b99a81258bc9261f",
+    ("location-appearance", 30.0, 3):
+        "78b8ffbc588915b3c9c27757a20564a17ee36fd1a638f6daf8deccd5e3359c45",
+    ("incremental", 18.0, None): "3111ce8e59f6703001e24c352e392a0872597db011b049a5bfcf1e5afe0c9543",
+}
+
+
+def test_partition_csv_of_every_method_is_pinned():
+    train = synth_generate(SynthConfig(n_places=12, images_per_place=6, pose_jitter=4.0,
+                                       n_seasons=2, seed=4))[1]
+    digests = {}
+    for method, t_d, k in PINNED_PARTITIONS:
+        cfg = PartitionConfig(method=method, t_d=t_d, k=k, seed=2, ang_max=1.0, feat_max=1.0)
+        csv = partition_csv(build_partition(train, cfg))
+        digests[method, t_d, k] = hashlib.sha256(csv.encode()).hexdigest()
+    assert digests == PINNED_PARTITIONS

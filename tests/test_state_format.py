@@ -1,5 +1,5 @@
 """The state file's bytes, pinned on a hand-built ensemble, and the typed
-errors for packed partition class records."""
+errors for packed partition class records and presence bytes."""
 
 import hashlib
 import math
@@ -130,6 +130,41 @@ def test_class_count_disagreeing_with_the_model_is_format_error(tmp_path):
 def test_class_ids_out_of_order_are_format_error(tmp_path):
     path = _crafted(tmp_path, _field(1, "class_id"), np.uint32(2).tobytes())
     with pytest.raises(StateFormatError, match="class ids"):
+        load_state(path)
+
+
+# Payload offsets of the presence bytes: slot 0's model flag follows the
+# counts and its history; its final_loss and seed bytes follow the model's
+# dimensions and parameters, each 9 bytes long; its partition flag follows.
+# Slot 1 starts after slot 0's three class records; its model has 14
+# parameters, no final_loss and no seed.
+MODEL_0 = 20 + 6
+LOSS_0 = MODEL_0 + 13 + 8 * 17
+SLOT_1 = FIRST_CLASS + 3 * CLASS_RECORD.itemsize
+MODEL_1 = SLOT_1 + 6
+LOSS_1 = MODEL_1 + 13 + 8 * 14
+
+
+@pytest.mark.parametrize("offset, name", [
+    (MODEL_0, "model"), (LOSS_0, "final_loss"), (LOSS_0 + 9, "seed"),
+    (LOSS_0 + 18, "partition"), (MODEL_1, "model"), (LOSS_1, "final_loss"),
+    (LOSS_1 + 9, "seed"), (LOSS_1 + 18, "partition"),
+], ids=["model_0", "loss_0", "seed_0", "partition_0", "model_1", "loss_1", "seed_1",
+        "partition_1"])
+def test_presence_byte_other_than_0_or_1_is_format_error(tmp_path, offset, name):
+    path = _crafted(tmp_path, offset, b"\x02")
+    with pytest.raises(StateFormatError, match=f"{name} presence byte is 2, not 0 or 1"):
+        load_state(path)
+
+
+@pytest.mark.parametrize("offset, value, name", [
+    (LOSS_1 + 1, np.float64(-0.0), "final_loss"),
+    (LOSS_1 + 1, np.float64(0.5), "final_loss"),
+    (LOSS_1 + 10, np.int64(7), "seed"),
+], ids=["loss_negative_zero", "loss", "seed"])
+def test_absent_field_with_non_zero_value_bytes_is_format_error(tmp_path, offset, value, name):
+    path = _crafted(tmp_path, offset, value.tobytes())
+    with pytest.raises(StateFormatError, match=f"absent {name} has non-zero value bytes"):
         load_state(path)
 
 

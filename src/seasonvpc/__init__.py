@@ -55,7 +55,7 @@ from .classify import (
     predict,
     train,
 )
-from .fusion import FusedResult, GlobalCandidate, Ranking, fuse, ranking, top_x
+from .fusion import ColumnTable, FusedResult, GlobalCandidate, Ranking, fuse, ranking, top_x
 from .missions import (
     MissionConfig,
     initial_state,

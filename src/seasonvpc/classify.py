@@ -214,8 +214,13 @@ def predict(m: ModelParams, features: np.ndarray) -> np.ndarray:
     z1 = np.empty((len(x), 1, hidden))
     for a, b in _row_blocks(hidden, f_dim):
         np.matmul(rows, m.w1[a:b].T, out=z1[:, :, a:b])
-    a1 = np.maximum(z1[:, 0, :] + m.b1, 0.0)
-    return _softmax((a1[:, None, :] @ m.w2.T)[:, 0, :] + m.b2)
+    # In place: the same ufuncs on the same values as z1 + b1 and so on,
+    # so the same bits, without a temporary per step.
+    z1 += m.b1
+    np.maximum(z1, 0.0, out=z1)
+    logits = (z1 @ m.w2.T)[:, 0, :]
+    logits += m.b2
+    return _softmax(logits)
 
 
 @dataclass

@@ -359,7 +359,10 @@ class ClassifierRecord:
 @dataclass(frozen=True, eq=False)
 class EnsembleState:
     """The classifier set plus mission index; the only state kept between
-    seasons. Never holds past training features."""
+    seasons. Never holds past training features.
+
+    `missions.vpc_plan` keeps what VPC derives from the fields in the
+    instance's `__dict__`; it is not a field and not part of the state."""
 
     mission: int
     classifiers: tuple[ClassifierRecord, ...]

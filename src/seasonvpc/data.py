@@ -112,11 +112,12 @@ def load_features(path, f_dim: int | None = None) -> np.ndarray:
             raise DataError(f"{path}: feature dimension must be >= 1")
         if f_dim is not None and dim != f_dim:
             raise DataError(f"{path}: header dimension {dim} != expected {f_dim}")
-        payload = blob[FEATURE_HEADER.size:]
+        payload = len(blob) - FEATURE_HEADER.size
         expected = 4 * dim * count
-        if len(payload) != expected:
-            raise DataError(f"{path}: payload is {len(payload)} bytes, expected {expected}")
-        return np.frombuffer(payload, dtype="<f4").reshape(count, dim).copy()
+        if payload != expected:
+            raise DataError(f"{path}: payload is {payload} bytes, expected {expected}")
+        return np.frombuffer(blob, "<f4", dim * count, FEATURE_HEADER.size).reshape(
+            count, dim).copy()
     # CSV fallback: one comma-separated row per feature vector.
     rows, linenos = [], []
     for lineno, line in enumerate(blob.decode("utf-8", errors="replace").splitlines(), start=1):

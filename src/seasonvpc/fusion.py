@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -144,21 +143,45 @@ class Ranking(Sequence):
         return list(self) == list(other)
 
 
-def ranking(probs: np.ndarray, order: np.ndarray, slots: Sequence[int],
-            partitions: Sequence[PartitionSummary]) -> Ranking:
-    """The candidates of top_x's ranked columns `order` of probs.
+@dataclass(frozen=True, eq=False)
+class ColumnTable:
+    """What each column of a slot-concatenated probability row stands for:
+    its slot and its class within that slot, (C,) int64, and the class's
+    representative pose, (C, 3) float64. Read-only.
 
-    Column c of probs belongs to the slot whose class range holds it, in the
-    order of `slots`, with `partitions` giving each slot's classes.
-    """
-    bounds = np.array([0, *accumulate(len(part.classes) for part in partitions)])
-    if bounds[-1] != probs.shape[1]:
-        raise ValueError(f"probabilities over {probs.shape[1]} classes != partitions "
-                         f"with {bounds[-1]}")
-    s = np.searchsorted(bounds[1:], order, side="right")  # index into slots
-    return Ranking(slots=np.array(slots, dtype=np.int64)[s], classes=order - bounds[s],
+    A table depends on the active slots and their partitions only, so a
+    caller that ranks many batches against one ensemble builds it once
+    (`missions.vpc_plan`)."""
+
+    slots: np.ndarray
+    classes: np.ndarray
+    poses: np.ndarray
+
+    @classmethod
+    def of(cls, slots: Sequence[int], partitions: Sequence[PartitionSummary]) -> "ColumnTable":
+        """The columns of `slots` in order, `partitions` giving each slot's
+        classes."""
+        sizes = [len(part.classes) for part in partitions]
+        table = cls(slots=np.repeat(np.array(slots, dtype=np.int64), sizes),
+                    classes=np.concatenate([np.arange(k, dtype=np.int64) for k in sizes]),
+                    poses=np.concatenate([part.representatives for part in partitions]))
+        for a in (table.slots, table.classes, table.poses):
+            a.setflags(write=False)
+        return table
+
+    def __len__(self) -> int:
+        return len(self.slots)
+
+
+def ranking(probs: np.ndarray, order: np.ndarray, table: ColumnTable) -> Ranking:
+    """The candidates of top_x's ranked columns `order` of probs, gathered
+    from `table`, which describes probs' columns."""
+    if len(table) != probs.shape[1]:
+        raise ValueError(f"probabilities over {probs.shape[1]} classes != column table "
+                         f"of {len(table)}")
+    return Ranking(slots=table.slots[order], classes=table.classes[order],
                    probabilities=probs[np.arange(len(order))[:, None], order],
-                   poses=np.concatenate([part.representatives for part in partitions])[order])
+                   poses=table.poses[order])
 
 
 def fuse(lists: Sequence[Sequence[GlobalCandidate]], x: int) -> FusedResult:

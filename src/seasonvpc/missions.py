@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .classify import TrainConfig, fine_tune, model_from_flat, predict, train
+from .classify import ModelParams, TrainConfig, fine_tune, model_from_flat, predict, train
 from .core import (
     CLASS_RECORD,
     SUMMARY_COLUMNS,
@@ -30,7 +30,7 @@ from .core import (
 )
 # fuse is not called here; it stays importable from this module next to the
 # other layer functions, which perfbench/spans.py patches by name.
-from .fusion import Ranking, fuse, ranking, top_x  # noqa: F401
+from .fusion import ColumnTable, Ranking, fuse, ranking, top_x  # noqa: F401
 from .placedef import PARTITION_METHODS, PartitionConfig, build_partition
 from .sched import Schedule, StrategyConfig, next_schedule, st3_fusion_filter
 
@@ -48,6 +48,13 @@ SINGLETON_WARN_FRACTION = 0.5
 
 class StateFormatError(Exception):
     """Unreadable, tampered, or wrong-version state file."""
+
+
+def _is_threshold(error) -> bool:
+    """Whether `error` can be a success threshold: a positive, finite real
+    number, and not a bool."""
+    return (isinstance(error, numbers.Real) and not isinstance(error, bool)
+            and math.isfinite(error) and error > 0)
 
 
 @dataclass(frozen=True)
@@ -68,8 +75,7 @@ class MissionConfig:
             raise ValueError(f"capacity must be <= {MAX_CAPACITY}")
         thresholds = self.error_thresholds
         if not isinstance(thresholds, (list, tuple)) or not thresholds or not all(
-                isinstance(t, numbers.Real) and not isinstance(t, bool) and math.isfinite(t)
-                and t > 0 for t in thresholds):
+                map(_is_threshold, thresholds)):
             raise ValueError("error_thresholds must be positive and finite numbers")
         object.__setattr__(self, "error_thresholds", tuple(thresholds))
         if self.success_mode not in SUCCESS_MODES:
@@ -156,27 +162,56 @@ def active_slots(state: EnsembleState, strategy: StrategyConfig) -> list[int]:
     return trained
 
 
+@dataclass(frozen=True, eq=False)
+class VPCPlan:
+    """What `run_vpc` reads of a state under one strategy: the active slots,
+    their models, and the fusion table of their slot-concatenated columns."""
+
+    slots: tuple[int, ...]
+    models: tuple[ModelParams, ...]
+    columns: ColumnTable
+
+
+def vpc_plan(state: EnsembleState, strategy: StrategyConfig) -> VPCPlan:
+    """The state's VPC plan under `strategy`, built on first use.
+
+    The plan is kept in the state's own `__dict__`, next to its fields, so
+    it is freed with the state, and it takes no part in `states_equal` or
+    `save_state`. It is built first and then stored with `setdefault`:
+    readers that race store equal plans and all return the first.
+    """
+    plans = vars(state).setdefault("_vpc_plans", {})
+    plan = plans.get(strategy)
+    if plan is None:
+        slots = active_slots(state, strategy)
+        if not slots:
+            raise ValueError("no trained classifiers available for VPC")
+        records = [state.classifiers[j] for j in slots]
+        plan = plans.setdefault(strategy, VPCPlan(
+            slots=tuple(slots), models=tuple(rec.model for rec in records),
+            columns=ColumnTable.of(slots, [rec.partition for rec in records])))
+    return plan
+
+
 def run_vpc(state: EnsembleState, queries: Sequence[MappedImage],
             cfg: MissionConfig) -> Ranking:
     """Classify every query through the ensemble and fuse the ranked lists.
 
     One forward pass per active slot over all queries, then one ranking of
-    the slot-concatenated probability rows, indexed into a columnar
-    `Ranking`. Each query's row is identical to ranking each slot's classes
-    and fusing the lists (`fuse`), and does not depend on the other queries
-    in the batch. Pure with respect to the state; deterministic.
+    the slot-concatenated probability rows, gathered from the state's
+    `vpc_plan` into a columnar `Ranking`. Each query's row is identical to
+    ranking each slot's classes and fusing the lists (`fuse`), and does not
+    depend on the other queries in the batch. Pure with respect to the
+    state's fields; deterministic.
     """
     if state.mission < 1:
         raise ValueError("VPC needs at least one adaptation mission")
-    slots = active_slots(state, cfg.strategy)
-    if not slots:
-        raise ValueError("no trained classifiers available for VPC")
+    plan = vpc_plan(state, cfg.strategy)
     if not queries:
         return Ranking.empty()
-    features = np.stack([q.feature for q in queries], dtype=np.float64)
-    records = [state.classifiers[j] for j in slots]
-    probs = np.concatenate([predict(rec.model, features) for rec in records], axis=1)
-    return ranking(probs, top_x(probs, cfg.fusion_x), slots, [rec.partition for rec in records])
+    features = np.array([q.feature for q in queries], dtype=np.float64)
+    probs = np.concatenate([predict(m, features) for m in plan.models], axis=1)
+    return ranking(probs, top_x(probs, cfg.fusion_x), plan.columns)
 
 
 def success_ratio(results: Ranking, queries: Sequence[MappedImage],
@@ -187,6 +222,8 @@ def success_ratio(results: Ranking, queries: Sequence[MappedImage],
         raise ValueError("results and queries must be non-empty and aligned")
     if mode not in SUCCESS_MODES:
         raise ValueError("mode must be rank1 or topx")
+    if not _is_threshold(error):
+        raise ValueError(f"error must be a positive and finite number, got {error!r}")
     truth = np.array([(q.viewpoint.x, q.viewpoint.y) for q in queries])
     xy = results.poses[:, :1, :2] if mode == "rank1" else results.poses[..., :2]
     d = xy - truth[:, None, :]
@@ -344,7 +381,8 @@ def save_state(state: EnsembleState, path) -> None:
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(header + payload)
+            fh.write(header)
+            fh.write(payload)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)

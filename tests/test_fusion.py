@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from seasonvpc import (
+    ColumnTable,
     FusedResult,
     GlobalCandidate,
     Ranking,
@@ -30,7 +31,7 @@ def _cand(slot, cid, prob, x=0.0):
 def _ranked(probs, parts, x, slots=None):
     probs = np.array([probs])
     slots = list(range(len(parts))) if slots is None else slots
-    return list(ranking(probs, top_x(probs, x), slots, parts)[0].ranked)
+    return list(ranking(probs, top_x(probs, x), ColumnTable.of(slots, parts))[0].ranked)
 
 
 def test_top_x_sorts_by_probability():
@@ -55,6 +56,18 @@ def test_top_x_tie_breaks_to_lower_slot_then_class():
     assert [(c.source_classifier, c.class_id) for c in out] == \
         [(1, 1), (3, 0), (3, 2), (1, 0), (3, 1)]
     assert out[1].location == Viewpoint(*b.representatives[0])
+
+
+def test_column_table_lists_every_slot_concatenated_column():
+    a, b = _partition(2), _partition(3)
+    table = ColumnTable.of([1, 3], [a, b])
+    assert len(table) == 5
+    assert table.slots.tolist() == [1, 1, 3, 3, 3]
+    assert table.classes.tolist() == [0, 1, 0, 1, 2]
+    assert np.array_equal(table.poses, np.concatenate([a.representatives, b.representatives]))
+    assert table.slots.dtype == table.classes.dtype == np.int64
+    for column in (table.slots, table.classes, table.poses):
+        assert not column.flags.writeable
 
 
 def test_top_x_validates_sizes():

@@ -209,6 +209,22 @@ def test_success_ratio_exact_and_hopeless_cases():
     assert success_ratio(results, queries, 1e-9) == 0.0
 
 
+def test_success_ratio_refuses_thresholds_mission_config_refuses():
+    seasons = _synth(2)
+    cfg = _mc(StrategyConfig("ST1"))
+    state = run_adaptation(initial_state(4), seasons[0], cfg)
+    queries = queries_from_set(seasons[1])
+    results = run_vpc(state, queries, cfg)
+    for bad in (math.nan, math.inf, -math.inf, -1.0, 0.0, 0, True):
+        with pytest.raises(ValueError):
+            MissionConfig(strategy=StrategyConfig("ST1"), error_thresholds=(bad,))
+        for mode in ("rank1", "topx"):
+            with pytest.raises(ValueError, match="error must be"):
+                success_ratio(results, queries, bad, mode)
+    assert success_ratio(results, queries, np.float64(1e9)) == 1.0
+    assert success_ratio(results, queries, 10**9) == 1.0
+
+
 def _reference_ratio(ranking, queries, error, mode):
     """success_ratio over the candidates as FusedResults, one distance each."""
     hits = 0

@@ -95,3 +95,37 @@ def test_perfbench_smoke_passes():
     proc = subprocess.run([sys.executable, "perfbench/smoke.py"], cwd=PERFBENCH.parent,
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_every_run_vpc_calls_the_traced_names(monkeypatch):
+    # spans.py times predict and top_x by patching them on seasonvpc.missions;
+    # run_vpc must look both up there on every call, whether or not the
+    # state's VPC plan is already built, or the traced classify.predict_* and
+    # fusion.top_x_* metrics read zero without any error.
+    seasons = synth_generate(SynthConfig(n_places=4, loop_length=80.0, images_per_place=2,
+                                         feature_dim=5, n_seasons=4, seed=2))
+    cfg = MissionConfig(strategy=StrategyConfig("ST2", n_bar=1), capacity=3,
+                        train=TrainConfig(epochs=2, hidden=4))
+    state = initial_state(3)
+    for season in seasons[:-1]:
+        state = run_adaptation(state, season, cfg)
+    queries = missions.queries_from_set(seasons[-1])
+    calls = {"predict": 0, "top_x": 0}
+
+    def counted(name):
+        fn = getattr(missions, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(missions, name, counted(name))
+    slots = missions.active_slots(state, cfg.strategy)
+    assert len(slots) == 3
+    for batch in (queries, queries[:1], queries, queries[2:5], queries[:1]):
+        before = dict(calls)
+        missions.run_vpc(state, batch, cfg)
+        assert calls["predict"] - before["predict"] == len(slots)
+        assert calls["top_x"] - before["top_x"] == 1

@@ -1,6 +1,9 @@
 """The batched VPC path against the per-query reference, and its invariance
 to batch size."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -13,13 +16,16 @@ from seasonvpc import (
     StrategyConfig,
     TrainingSet,
     init_model,
+    load_state,
     queries_from_set,
     run_vpc,
+    save_state,
+    states_equal,
 )
 
 from seasonvpc.classify import BLOCK_BYTES, predict
 from seasonvpc.fusion import PARTIAL_WIDTH
-from seasonvpc.missions import active_slots
+from seasonvpc.missions import active_slots, vpc_plan
 
 from conftest import run_at_one_blas_thread
 from vpc_oracle import predict_one, run_vpc_reference
@@ -182,3 +188,92 @@ def test_feature_dimension_mismatch_raises():
     cfg = MissionConfig(strategy=StrategyConfig("ST1"))
     with pytest.raises(ValueError):
         run_vpc(state, _queries(np.random.default_rng(7), 2, 15), cfg)
+
+
+# --- the per-state VPC plan ---------------------------------------------
+
+PLAN_CONFIGS = [MissionConfig(strategy=s, fusion_x=x) for s, x in (
+    (StrategyConfig("ST2", n_bar=1), 10),
+    (StrategyConfig("ST3", k_bar=1), 4),
+    (StrategyConfig("ST3", k_bar=4), 10),
+    (StrategyConfig("ST3", k_bar=1, st3_filter=False), 7),
+    (StrategyConfig("ST3", k_bar=4, st3_filter=False), 10),
+)]
+
+
+def _scheduled_state(seed, f_dim=8):
+    """Four trained slots whose histories make the ST3 filter keep slot 0
+    at k_bar 1 and slot 3 at k_bar 4."""
+    rng = np.random.default_rng(seed)
+    records = []
+    for slot, bits in enumerate(("1000", "0100", "0011", "0001")):
+        k = int(rng.integers(1, 40))
+        records.append(ClassifierRecord(history=RetrainHistory.from_string(bits),
+                                        partition=_partition(rng, k),
+                                        model=_model_with_ties(rng, f_dim, k, seed=seed + slot)))
+    return EnsembleState(mission=4, classifiers=tuple(records), capacity=4)
+
+
+def test_plan_answers_repeated_queries_as_the_oracle_does():
+    state = _scheduled_state(seed=11)
+    queries = _queries(np.random.default_rng(12), 30, 8)
+    want = {id(cfg): [_key(r) for r in run_vpc_reference(state, queries, cfg)]
+            for cfg in PLAN_CONFIGS}
+    assert [active_slots(state, cfg.strategy) for cfg in PLAN_CONFIGS] == [
+        [0, 1, 2, 3], [0], [3], [0, 1, 2, 3], [0, 1, 2, 3]]
+    subsets = [slice(0, 1), slice(29, 30), slice(3, 11), slice(0, 30), slice(5, 6)]
+    for _round in range(3):
+        for cfg in PLAN_CONFIGS:  # alternating strategies over one state
+            for part in subsets:
+                got = run_vpc(state, queries[part], cfg)
+                assert [_key(r) for r in got] == want[id(cfg)][part], (cfg.strategy, part)
+    for cfg in PLAN_CONFIGS:
+        assert vpc_plan(state, cfg.strategy) is vpc_plan(state, cfg.strategy)
+        assert vpc_plan(state, cfg.strategy).slots == tuple(active_slots(state, cfg.strategy))
+
+
+def test_two_states_queried_alternately_keep_their_own_answers():
+    a, b = _scheduled_state(seed=21), _scheduled_state(seed=22)
+    queries = _queries(np.random.default_rng(23), 12, 8)
+    cfg = PLAN_CONFIGS[0]
+    want = {id(s): [_key(r) for r in run_vpc_reference(s, queries, cfg)] for s in (a, b)}
+    assert want[id(a)] != want[id(b)]
+    for _round in range(3):
+        for s in (a, b):
+            assert [_key(r) for r in run_vpc(s, queries, cfg)] == want[id(s)]
+            assert _key(run_vpc(s, queries[4:5], cfg)[0]) == want[id(s)][4]
+
+
+def test_plan_leaves_state_bytes_and_equality_alone(tmp_path):
+    state = _scheduled_state(seed=31)
+    save_state(state, tmp_path / "before.svpc")
+    before = load_state(tmp_path / "before.svpc")
+    assert states_equal(state, before)
+    for cfg in PLAN_CONFIGS:
+        run_vpc(state, _queries(np.random.default_rng(32), 5, 8), cfg)
+    save_state(state, tmp_path / "after.svpc")
+    assert (tmp_path / "after.svpc").read_bytes() == (tmp_path / "before.svpc").read_bytes()
+    assert states_equal(state, before) and states_equal(before, state)
+
+
+def test_plan_is_freed_with_its_state():
+    state = _scheduled_state(seed=41)
+    run_vpc(state, _queries(np.random.default_rng(42), 2, 8), PLAN_CONFIGS[0])
+    plan = weakref.ref(vpc_plan(state, PLAN_CONFIGS[0].strategy))
+    del state
+    gc.collect()
+    assert plan() is None
+
+
+def test_class_count_mismatch_raises_on_every_call_after_the_plan_is_built():
+    state = _wide_state(16, seed=8)
+    cfg = MissionConfig(strategy=StrategyConfig("ST1"))
+    queries = _queries(np.random.default_rng(9), 3, 16)
+    assert len(run_vpc(state, queries, cfg)) == 3  # plan built, 57 columns
+    m = state.classifiers[0].model
+    m.w2, m.b2 = m.w2[:-1], m.b2[:-1]  # model no longer matches its partition
+    for _ in range(3):
+        with pytest.raises(ValueError, match="column table"):
+            run_vpc(state, queries, cfg)
+        with pytest.raises(ValueError, match="column table"):
+            run_vpc(state, queries[:1], cfg)

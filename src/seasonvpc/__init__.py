@@ -46,6 +46,7 @@ from .placedef import (
     partition_location_appearance,
 )
 from .classify import (
+    DivergenceError,
     ModelParams,
     TrainConfig,
     fine_tune,
@@ -55,7 +56,7 @@ from .classify import (
     predict,
     train,
 )
-from .fusion import ColumnTable, FusedResult, GlobalCandidate, Ranking, fuse, ranking, top_x
+from .fusion import FusedResult, GlobalCandidate, Ranking, fuse, top_x
 from .missions import (
     MissionConfig,
     initial_state,

@@ -16,6 +16,10 @@ import numpy as np
 from .core import require_integers, require_reals
 
 
+class DivergenceError(Exception):
+    """Training reached non-finite parameters: the learning rate is too large."""
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 0.05
@@ -32,8 +36,6 @@ class TrainConfig:
             raise ValueError("learning_rate, batch_size and hidden must be positive")
         if self.epochs < 0 or self.weight_scale < 0 or self.seed < 0:
             raise ValueError("epochs, weight_scale and seed must be non-negative")
-        if not (math.isfinite(self.learning_rate) and math.isfinite(self.weight_scale)):
-            raise ValueError("learning_rate and weight_scale must be finite")
 
 
 @dataclass(eq=False)
@@ -303,6 +305,8 @@ def _sgd(params: np.ndarray, m: ModelParams, x: np.ndarray, y: np.ndarray,
             grads *= cfg.learning_rate
             params -= grads
     final = _mean_nll(_forward(m, x)[2], y)
+    if not (np.isfinite(params).all() and math.isfinite(final)):
+        raise DivergenceError(f"training diverged at train.learning_rate {cfg.learning_rate!r}")
     return ModelParams(m.w1, m.b1, m.w2, m.b2, final_loss=final, seed=cfg.seed)
 
 

@@ -1,7 +1,7 @@
 """Command-line front end: run season-loop experiments end to end, partition
 single datasets, and print/export schedule grids.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.
+Exit codes: 0 success, 1 usage error or diverged training, 2 data error, 3 internal error.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import report
-from .classify import TrainConfig
+from .classify import DivergenceError, TrainConfig
 from .core import TrainingSet, require_integers
 from .data import DataError, SynthConfig, load_bundle, load_manifest, read_json, synth_generate
 from .missions import (
@@ -285,7 +285,7 @@ written by `placedef`:
   partition.svg  trajectory overlay colored by place class
   insertions.csv image_id,class_id,pos_dist,ang_diff,feat_dist (incremental only)
 
-exit codes: 0 success, 1 usage error, 2 data error, 3 internal error
+exit codes: 0 success, 1 usage error or diverged training, 2 data error, 3 internal error
 """
 
 
@@ -350,7 +350,7 @@ def main(argv=None) -> int:
     try:
         args.func(args)
         return 0
-    except UsageError as exc:
+    except (UsageError, DivergenceError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except (DataError, StateFormatError, FileNotFoundError) as exc:

@@ -40,8 +40,13 @@ def require_integers(config, *names: str) -> None:
 
 def require_reals(config, *names: str) -> None:
     """Raise TypeError naming the first of `config`'s fields `names` that holds
-    neither None nor a real number (`numbers.Real`; bools do not pass)."""
+    neither None nor a real number (`numbers.Real`; bools do not pass), or
+    ValueError naming the first that holds NaN or an infinity."""
     _require(config, names, numbers.Real, "a real number")
+    for name in names:
+        value = getattr(config, name)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def normalize_angle(theta: float) -> float:

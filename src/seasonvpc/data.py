@@ -97,7 +97,7 @@ def write_features(path, features: np.ndarray) -> None:
 
 
 def load_features(path, f_dim: int | None = None) -> np.ndarray:
-    """Load the binary f32 feature format (CSV fallback) as a (n, F) array."""
+    """Load a (n, F) array: a read-only view of a binary f32 feature file, or CSV rows."""
     try:
         blob = Path(path).read_bytes()
     except (OSError, ValueError) as exc:  # ValueError: NUL in the path
@@ -116,8 +116,7 @@ def load_features(path, f_dim: int | None = None) -> np.ndarray:
         expected = 4 * dim * count
         if payload != expected:
             raise DataError(f"{path}: payload is {payload} bytes, expected {expected}")
-        return np.frombuffer(blob, "<f4", dim * count, FEATURE_HEADER.size).reshape(
-            count, dim).copy()
+        return np.frombuffer(blob, "<f4", dim * count, FEATURE_HEADER.size).reshape(count, dim)
     # CSV fallback: one comma-separated row per feature vector.
     rows, linenos = [], []
     for lineno, line in enumerate(blob.decode("utf-8", errors="replace").splitlines(), start=1):
@@ -241,8 +240,6 @@ class SynthConfig:
         magnitudes = (self.place_signal, self.season_drift, self.noise, self.pose_jitter)
         if min(magnitudes) < 0:
             raise ValueError("magnitudes must be non-negative")
-        if not all(map(math.isfinite, (self.loop_length, *magnitudes))):
-            raise ValueError("loop_length and magnitudes must be finite")
 
     @property
     def place_spacing(self) -> float:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PartitionSummary, Viewpoint
+from .core import Viewpoint
 
 
 @dataclass(frozen=True)
@@ -143,58 +143,15 @@ class Ranking(Sequence):
         return list(self) == list(other)
 
 
-@dataclass(frozen=True, eq=False)
-class ColumnTable:
-    """What each column of a slot-concatenated probability row stands for:
-    its slot and its class within that slot, (C,) int64, and the class's
-    representative pose, (C, 3) float64. Read-only.
-
-    A table depends on the active slots and their partitions only, so a
-    caller that ranks many batches against one ensemble builds it once
-    (`missions.vpc_plan`)."""
-
-    slots: np.ndarray
-    classes: np.ndarray
-    poses: np.ndarray
-
-    @classmethod
-    def of(cls, slots: Sequence[int], partitions: Sequence[PartitionSummary]) -> "ColumnTable":
-        """The columns of `slots` in order, `partitions` giving each slot's
-        classes."""
-        sizes = [len(part.classes) for part in partitions]
-        table = cls(slots=np.repeat(np.array(slots, dtype=np.int64), sizes),
-                    classes=np.concatenate([np.arange(k, dtype=np.int64) for k in sizes]),
-                    poses=np.concatenate([part.representatives for part in partitions]))
-        for a in (table.slots, table.classes, table.poses):
-            a.setflags(write=False)
-        return table
-
-    def __len__(self) -> int:
-        return len(self.slots)
-
-
-def ranking(probs: np.ndarray, order: np.ndarray, table: ColumnTable) -> Ranking:
-    """The candidates of top_x's ranked columns `order` of probs, gathered
-    from `table`, which describes probs' columns."""
-    if len(table) != probs.shape[1]:
-        raise ValueError(f"probabilities over {probs.shape[1]} classes != column table "
-                         f"of {len(table)}")
-    return Ranking(slots=table.slots[order], classes=table.classes[order],
-                   probabilities=probs[np.arange(len(order))[:, None], order],
-                   poses=table.poses[order])
-
-
 def fuse(lists: Sequence[Sequence[GlobalCandidate]], x: int) -> FusedResult:
     """Merge per-classifier candidate lists by raw probability.
 
     Ties break to the lower slot index, then the lower class id; duplicates
     of the same place from different classifiers are kept.
     """
-    if x < 1:
-        raise ValueError("x must be >= 1")
     merged = sorted((c for lst in lists for c in lst),
                     key=lambda c: (c.source_classifier, c.class_id))
     if not merged:
         raise ValueError("fuse needs at least one non-empty candidate list")
-    order = _order(np.array([c.probability for c in merged]), x)
+    order = top_x(np.array([c.probability for c in merged]), x)
     return FusedResult(ranked=tuple(merged[i] for i in order))

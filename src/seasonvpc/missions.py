@@ -15,7 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .classify import ModelParams, TrainConfig, fine_tune, model_from_flat, predict, train
+from .classify import (DivergenceError, ModelParams, TrainConfig, fine_tune, model_from_flat,
+                       predict, train)
 from .core import (
     CLASS_RECORD,
     SUMMARY_COLUMNS,
@@ -25,12 +26,13 @@ from .core import (
     PartitionSummary,
     RetrainHistory,
     TrainingSet,
+    _read_only,
     membership_labels,
     require_integers,
 )
 # fuse is not called here; it stays importable from this module next to the
 # other layer functions, which perfbench/spans.py patches by name.
-from .fusion import ColumnTable, Ranking, fuse, ranking, top_x  # noqa: F401
+from .fusion import Ranking, fuse, top_x  # noqa: F401
 from .placedef import PARTITION_METHODS, PartitionConfig, build_partition
 from .sched import Schedule, StrategyConfig, next_schedule, st3_fusion_filter
 
@@ -141,10 +143,13 @@ def run_adaptation(state: EnsembleState, d: TrainingSet, cfg: MissionConfig) -> 
             )
             continue
         slot_cfg = replace(cfg.train, seed=_slot_seed(cfg.train, i, slot))
-        if old is None or old.model is None:
-            model = train(features, labels, n_classes, slot_cfg)
-        else:
-            model = fine_tune(old.model, features, labels, n_classes, slot_cfg)
+        try:
+            if old is None or old.model is None:
+                model = train(features, labels, n_classes, slot_cfg)
+            else:
+                model = fine_tune(old.model, features, labels, n_classes, slot_cfg)
+        except DivergenceError as exc:
+            raise DivergenceError(f"season {d.season_id}, slot {slot}: {exc}") from None
         records.append(ClassifierRecord(history=history, partition=summary, model=model))
     return EnsembleState(mission=i, classifiers=tuple(records), capacity=state.capacity)
 
@@ -165,11 +170,16 @@ def active_slots(state: EnsembleState, strategy: StrategyConfig) -> list[int]:
 @dataclass(frozen=True, eq=False)
 class VPCPlan:
     """What `run_vpc` reads of a state under one strategy: the active slots,
-    their models, and the fusion table of their slot-concatenated columns."""
+    their models, and what each column of the models' slot-concatenated
+    probability rows stands for: its slot and its class within that slot,
+    (C,) int64, and the class's representative pose, (C, 3) float64. The
+    column arrays are read-only."""
 
     slots: tuple[int, ...]
     models: tuple[ModelParams, ...]
-    columns: ColumnTable
+    column_slots: np.ndarray
+    column_classes: np.ndarray
+    column_poses: np.ndarray
 
 
 def vpc_plan(state: EnsembleState, strategy: StrategyConfig) -> VPCPlan:
@@ -187,9 +197,12 @@ def vpc_plan(state: EnsembleState, strategy: StrategyConfig) -> VPCPlan:
         if not slots:
             raise ValueError("no trained classifiers available for VPC")
         records = [state.classifiers[j] for j in slots]
+        widths = [rec.model.n_classes for rec in records]
         plan = plans.setdefault(strategy, VPCPlan(
-            slots=tuple(slots), models=tuple(rec.model for rec in records),
-            columns=ColumnTable.of(slots, [rec.partition for rec in records])))
+            tuple(slots), tuple(rec.model for rec in records),
+            _read_only(np.repeat(np.array(slots, dtype=np.int64), widths)),
+            _read_only(np.concatenate([np.arange(k, dtype=np.int64) for k in widths])),
+            _read_only(np.concatenate([rec.partition.representatives for rec in records]))))
     return plan
 
 
@@ -211,7 +224,10 @@ def run_vpc(state: EnsembleState, queries: Sequence[MappedImage],
         return Ranking.empty()
     features = np.array([q.feature for q in queries], dtype=np.float64)
     probs = np.concatenate([predict(m, features) for m in plan.models], axis=1)
-    return ranking(probs, top_x(probs, cfg.fusion_x), plan.columns)
+    order = top_x(probs, cfg.fusion_x)
+    return Ranking(slots=plan.column_slots[order], classes=plan.column_classes[order],
+                   probabilities=probs[np.arange(len(order))[:, None], order],
+                   poses=plan.column_poses[order])
 
 
 def success_ratio(results: Ranking, queries: Sequence[MappedImage],
@@ -348,6 +364,8 @@ def _deserialize(blob: bytes | memoryview) -> EnsembleState:
             # u32 dimensions cannot wrap, and array() checks the length
             # before anything is allocated.
             params = r.array(_F64, hidden * f_dim + hidden + n_classes * hidden + n_classes)
+            if not np.isfinite(params).all():
+                raise StateFormatError("non-finite model parameter")
             model = model_from_flat(params, f_dim, hidden, n_classes,
                                     final_loss=r.optional(_LOSS, "final_loss"),
                                     seed=r.optional(_SEED, "seed"))

@@ -39,8 +39,6 @@ class PartitionConfig:
             raise ValueError("kmeans_iters must be >= 1 and seed >= 0")
         if min(self.pos_max, self.ang_max, self.feat_max) <= 0:
             raise ValueError("incremental thresholds must be positive")
-        if not all(map(math.isfinite, (self.t_d, self.pos_max, self.ang_max, self.feat_max))):
-            raise ValueError("t_d and the incremental thresholds must be finite")
 
 
 @dataclass

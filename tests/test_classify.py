@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from seasonvpc import (
+    DivergenceError,
     TrainConfig,
     fine_tune,
     init_model,
@@ -165,6 +166,19 @@ def test_full_batch_loss_non_increasing_with_small_lr():
         loss, _ = loss_and_gradient(m, x, y)
         losses.append(loss)
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@pytest.mark.parametrize("fn", ["train", "fine_tune"])
+def test_diverging_training_raises_instead_of_returning_non_finite_parameters(fn):
+    rng = np.random.default_rng(7)
+    x, y = _blobs(rng)
+    cfg = TrainConfig(learning_rate=1e300, epochs=3, seed=1)
+    with pytest.raises(DivergenceError, match="train.learning_rate 1e"):
+        if fn == "train":
+            train(x, y, 3, cfg)
+        else:
+            fine_tune(init_model(x.shape[1], cfg.hidden, 3), x, y, 3, cfg)
 
 
 def test_fine_tune_zero_epochs_copies_body_and_replaces_head():

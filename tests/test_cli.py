@@ -308,6 +308,15 @@ def test_run_non_finite_flag_is_usage_error(tmp_path, capsys, flags):
     assert "usage error" in err and "finite" in err
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_run_diverging_training_is_usage_error(tmp_path, capsys):
+    spec = _spec_file(tmp_path, missions=2, train={"learning_rate": 1e300, "epochs": 3})
+    assert main(["run", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "usage error: season 1, slot 0: training diverged" in err
+    assert "train.learning_rate 1e+300" in err
+
+
 def _main_on_spec(tmp_path, argv, edit=None):
     """`main(argv)` with "SPEC" standing for a small valid spec file that
     `edit(doc)` may rewrite, and an --out directory for run and placedef."""

@@ -2,14 +2,12 @@ import numpy as np
 import pytest
 
 from seasonvpc import (
-    ColumnTable,
     FusedResult,
     GlobalCandidate,
     Ranking,
     Viewpoint,
     fuse,
     partition_by_location,
-    ranking,
     top_x,
 )
 
@@ -29,9 +27,13 @@ def _cand(slot, cid, prob, x=0.0):
 
 
 def _ranked(probs, parts, x, slots=None):
-    probs = np.array([probs])
-    slots = list(range(len(parts))) if slots is None else slots
-    return list(ranking(probs, top_x(probs, x), ColumnTable.of(slots, parts))[0].ranked)
+    """The candidates of top_x's columns of one row `probs` that holds the
+    classes of `parts`, slot after slot."""
+    slots = range(len(parts)) if slots is None else slots
+    columns = [(slot, cid, Viewpoint(*pose)) for slot, part in zip(slots, parts)
+               for cid, pose in enumerate(part.representatives.tolist())]
+    return [GlobalCandidate(columns[j][0], columns[j][1], probs[j], columns[j][2])
+            for j in top_x(np.array([probs]), x)[0].tolist()]
 
 
 def test_top_x_sorts_by_probability():
@@ -58,22 +60,7 @@ def test_top_x_tie_breaks_to_lower_slot_then_class():
     assert out[1].location == Viewpoint(*b.representatives[0])
 
 
-def test_column_table_lists_every_slot_concatenated_column():
-    a, b = _partition(2), _partition(3)
-    table = ColumnTable.of([1, 3], [a, b])
-    assert len(table) == 5
-    assert table.slots.tolist() == [1, 1, 3, 3, 3]
-    assert table.classes.tolist() == [0, 1, 0, 1, 2]
-    assert np.array_equal(table.poses, np.concatenate([a.representatives, b.representatives]))
-    assert table.slots.dtype == table.classes.dtype == np.int64
-    for column in (table.slots, table.classes, table.poses):
-        assert not column.flags.writeable
-
-
 def test_top_x_validates_sizes():
-    part = _partition(3)
-    with pytest.raises(ValueError):
-        _ranked([0.5, 0.5], [part], 1)
     with pytest.raises(ValueError):
         top_x(np.array([[1 / 3] * 3]), 0)
 

@@ -112,6 +112,20 @@ def test_non_finite_pose_is_format_error(tmp_path, value, name, component):
         load_state(path)
 
 
+# Payload offsets of slot 0's first model parameter (w1[0, 0]) and of slot
+# 1's last (b2[-1]): each follows its slot's history, model flag and dimensions.
+W1_0 = 20 + 6 + 13
+B2_1 = FIRST_CLASS + 3 * CLASS_RECORD.itemsize + 6 + 13 + 8 * 13
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("offset", [W1_0, B2_1], ids=["w1_0", "b2_1"])
+def test_non_finite_model_parameter_is_format_error(tmp_path, value, offset):
+    path = _crafted(tmp_path, offset, np.float64(value).tobytes())
+    with pytest.raises(StateFormatError, match="non-finite model parameter"):
+        load_state(path)
+
+
 @pytest.mark.parametrize("heading", [-math.pi, math.nextafter(math.pi, math.inf), 4.0, -7.0])
 @pytest.mark.parametrize("name", ["keyframe_poses", "representatives"])
 def test_heading_outside_half_open_pi_interval_is_format_error(tmp_path, heading, name):

@@ -173,16 +173,6 @@ def test_nan_model_raises_instead_of_answering_from_other_slots():
         run_vpc(state, queries, cfg)
 
 
-def test_class_count_mismatch_and_empty_queries():
-    state = _wide_state(16, seed=4)
-    cfg = MissionConfig(strategy=StrategyConfig("ST1"))
-    assert run_vpc(state, [], cfg) == []
-    m = state.classifiers[0].model
-    m.w2, m.b2 = m.w2[:-1], m.b2[:-1]  # model no longer matches its partition
-    with pytest.raises(ValueError):
-        run_vpc(state, _queries(np.random.default_rng(5), 2, 16), cfg)
-
-
 def test_feature_dimension_mismatch_raises():
     state = _wide_state(16, seed=6)
     cfg = MissionConfig(strategy=StrategyConfig("ST1"))
@@ -265,15 +255,20 @@ def test_plan_is_freed_with_its_state():
     assert plan() is None
 
 
-def test_class_count_mismatch_raises_on_every_call_after_the_plan_is_built():
-    state = _wide_state(16, seed=8)
-    cfg = MissionConfig(strategy=StrategyConfig("ST1"))
-    queries = _queries(np.random.default_rng(9), 3, 16)
-    assert len(run_vpc(state, queries, cfg)) == 3  # plan built, 57 columns
-    m = state.classifiers[0].model
-    m.w2, m.b2 = m.w2[:-1], m.b2[:-1]  # model no longer matches its partition
-    for _ in range(3):
-        with pytest.raises(ValueError, match="column table"):
-            run_vpc(state, queries, cfg)
-        with pytest.raises(ValueError, match="column table"):
-            run_vpc(state, queries[:1], cfg)
+def test_plan_lays_out_the_active_slots_columns():
+    """Base slots 0 and 2 have no columns; slots 1 and 3 have one per class."""
+    rng = np.random.default_rng(51)
+    a, b = _partition(rng, 2), _partition(rng, 3)
+    base = ClassifierRecord(RetrainHistory((0, 0, 0, 0)), None, None)
+    state = EnsembleState(mission=4, capacity=4, classifiers=(
+        base, ClassifierRecord(RetrainHistory((0, 1, 0, 0)), a, init_model(8, 6, 2, seed=1)),
+        base, ClassifierRecord(RetrainHistory((0, 0, 0, 1)), b, init_model(8, 6, 3, seed=3))))
+    plan = vpc_plan(state, StrategyConfig("ST1"))
+    assert plan.slots == (1, 3)
+    assert plan.column_slots.tolist() == [1, 1, 3, 3, 3]
+    assert plan.column_classes.tolist() == [0, 1, 0, 1, 2]
+    assert np.array_equal(plan.column_poses,
+                          np.concatenate([a.representatives, b.representatives]))
+    assert plan.column_slots.dtype == plan.column_classes.dtype == np.int64
+    for column in (plan.column_slots, plan.column_classes, plan.column_poses):
+        assert not column.flags.writeable

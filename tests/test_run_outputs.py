@@ -58,3 +58,39 @@ def test_run_outputs_match_the_pinned_digests(tmp_path, upd):
            hashlib.sha256((out / "state.svpc").read_bytes()).hexdigest(),
            _ranking_digest(ranking))
     assert got == PINNED[upd]
+
+
+# Criterion 11's spec at top-level seed 0 with partition.k 3: k-means makes
+# three appearance clusters, so location-appearance splits every season
+# (10, 11, 10 and 15 classes) where location makes 8. The digests, taken as
+# `PINNED`'s are, were recorded while k-means' seed was still `partition.seed`
+# (default 0); at top-level seed 0 the two rules agree.
+SPLIT_SPEC = {**SPEC, "seed": 0, "partition": {"k": 3}}
+PINNED_SPLIT = ("7f58e4cdcf64bc8ae46163afbaa2e73fc9ba36be235948cea7fbcd2e7731cfd9",
+                "f950820a12ea6d646e0b34f7f5d87c877f9d47e72cb8ae68e3fdfb19b6eafec2",
+                "5316bb47af21a739ab5731fdb72ca800ce4e00c0a73f584c4e4e43ab5309d8b2")
+
+
+def _split_run(tmp_path, upd):
+    """The digests of `seasonvpc run` on SPLIT_SPEC under `upd`, as `PINNED`
+    takes them, and the final state's class counts."""
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(SPLIT_SPEC))
+    out = tmp_path / upd
+    assert cli_main(["run", "--spec", str(spec_path), "--out", str(out), "--upd", upd]) == 0
+    spec = load_experiment_spec(str(spec_path))
+    state = load_state(out / "state.svpc")
+    ranking = run_vpc(state, queries_from_set(_load_seasons(spec)[-1]), spec.mission)
+    digests = (hashlib.sha256((out / "results.csv").read_bytes()).hexdigest(),
+               hashlib.sha256((out / "state.svpc").read_bytes()).hexdigest(),
+               _ranking_digest(ranking))
+    return digests, [len(c.partition.sizes) for c in state.classifiers]
+
+
+def test_location_appearance_split_matches_its_pinned_digests(tmp_path):
+    digests, classes = _split_run(tmp_path, "location-appearance")
+    assert classes == [10, 11, 10, 15]
+    assert digests == PINNED_SPLIT
+    location, location_classes = _split_run(tmp_path, "location")
+    assert location_classes == [8, 8, 8, 8]
+    assert location[2] != digests[2]

@@ -293,18 +293,20 @@ def _sgd(params: np.ndarray, m: ModelParams, x: np.ndarray, y: np.ndarray,
     grads, views = _block(m.feature_dim, m.hidden, m.n_classes)
     g = Gradients(*views)
     onehot = np.empty((n, m.n_classes))
-    for _ in range(cfg.epochs):
-        perm = rng.permutation(n)
-        onehot.fill(0.0)
-        onehot[np.arange(n), y[perm]] = 1.0
-        for start in range(0, n, cfg.batch_size):
-            stop = start + cfg.batch_size
-            xb = x[perm[start:stop]]
-            z1, a1, probs = _forward(m, xb)
-            _backward(m, xb, z1, a1, probs, onehot[start:stop], g)
-            grads *= cfg.learning_rate
-            params -= grads
-    final = _mean_nll(_forward(m, x)[2], y)
+    # A diverging run overflows; the check below reports it as one error.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.epochs):
+            perm = rng.permutation(n)
+            onehot.fill(0.0)
+            onehot[np.arange(n), y[perm]] = 1.0
+            for start in range(0, n, cfg.batch_size):
+                stop = start + cfg.batch_size
+                xb = x[perm[start:stop]]
+                z1, a1, probs = _forward(m, xb)
+                _backward(m, xb, z1, a1, probs, onehot[start:stop], g)
+                grads *= cfg.learning_rate
+                params -= grads
+        final = _mean_nll(_forward(m, x)[2], y)
     if not (np.isfinite(params).all() and math.isfinite(final)):
         raise DivergenceError(f"training diverged at train.learning_rate {cfg.learning_rate!r}")
     return ModelParams(m.w1, m.b1, m.w2, m.b2, final_loss=final, seed=cfg.seed)

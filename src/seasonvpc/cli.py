@@ -42,8 +42,8 @@ class UsageError(Exception):
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Everything one `run` needs beyond its MissionConfig: how many missions,
-    the seed of synthesis and training, the data source and the protocol."""
+    """Everything a subcommand needs beyond its MissionConfig: how many missions,
+    the data source, the protocol, and the one seed of synthesis, k-means and training."""
 
     mission: MissionConfig
     missions: int = 4
@@ -70,20 +70,21 @@ _DEFAULT_STRATEGY = {"kind": "ST2", "n_bar": 1}  # a strategy section overrides 
 # Top-level spec keys passed to MissionConfig, by its field names.
 _MISSION_KEYS = {"fusion_x": "fusion_x", "capacity": "capacity",
                  "error_thresholds": "error_thresholds", "mode": "success_mode"}
-# Each `run` flag and the spec key it overrides: (section, key), None the top level.
-_RUN_FLAGS = {"seed": (None, "seed"), "missions": (None, "missions"),
-              "strategy": ("strategy", "kind"), "nbar": ("strategy", "n_bar"),
-              "kbar": ("strategy", "k_bar"), "upd": ("partition", "method"),
-              "td": ("partition", "t_d"), "x": (None, "fusion_x"),
-              "capacity": (None, "capacity"), "error": (None, "error_thresholds"),
-              "mode": (None, "mode"), "protocol": (None, "protocol")}
+# Each subcommand flag and the spec key it overrides: (section, key), None the top level.
+_FLAGS = {"seed": (None, "seed"), "missions": (None, "missions"),
+          "strategy": ("strategy", "kind"), "nbar": ("strategy", "n_bar"),
+          "kbar": ("strategy", "k_bar"), "upd": ("partition", "method"),
+          "td": ("partition", "t_d"), "k": ("partition", "k"), "x": (None, "fusion_x"),
+          "capacity": (None, "capacity"), "error": (None, "error_thresholds"),
+          "mode": (None, "mode"), "protocol": (None, "protocol"),
+          "manifest": (None, "manifest")}
 
 
 def _build_spec(doc, args: argparse.Namespace | None = None, where: str = "flags",
                base: Path | None = None) -> ExperimentSpec:
-    """The one ExperimentSpec for a spec document with `args`' run flags
-    written over it. Every bad value is a UsageError; a relative manifest
-    path is resolved against `base`."""
+    """The one ExperimentSpec for a spec document with `args`' flags written
+    over it. Every bad value is a UsageError; a relative manifest path in the
+    document is resolved against `base`."""
     if not isinstance(doc, dict):
         raise UsageError(f"{where}: a spec must be a JSON object")
     doc = dict(doc)
@@ -92,21 +93,22 @@ def _build_spec(doc, args: argparse.Namespace | None = None, where: str = "flags
             raise UsageError(f"{where}: {name} must be a JSON object")
         doc[name] = dict(doc.get(name, {}))
     doc["strategy"] = {**_DEFAULT_STRATEGY, **doc["strategy"]}
-    for flag, (section, key) in _RUN_FLAGS.items():
+    if base is not None and isinstance(doc.get("manifest"), str):
+        doc["manifest"] = str(base / doc["manifest"])
+    for flag, (section, key) in _FLAGS.items():
         if getattr(args, flag, None) is not None:
             (doc[section] if section else doc)[key] = getattr(args, flag)
-    for section, key in (("train", "seed"), ("synth", "seed"), ("synth", "n_seasons")):
+    for section, key in (("partition", "seed"), ("train", "seed"), ("synth", "seed"),
+                         ("synth", "n_seasons")):
         if key in doc[section]:
             raise UsageError(f"{where}: {section}.{key} is not a spec key: the top-level "
                              "seed and missions set the seeds and the season count")
-    if base is not None and isinstance(doc.get("manifest"), str):
-        doc["manifest"] = str(base / doc["manifest"])
     sections = {name: doc.pop(name) for name in _SECTIONS}
     seed = doc.get("seed", ExperimentSpec.seed)
     try:
         mission = MissionConfig(
             strategy=StrategyConfig(**sections["strategy"]),
-            partition=PartitionConfig(**sections["partition"]),
+            partition=PartitionConfig(**sections["partition"], seed=seed),
             train=TrainConfig(**sections["train"], seed=seed),
             **{field: doc.pop(key) for key, field in _MISSION_KEYS.items() if key in doc},
         )
@@ -118,7 +120,7 @@ def _build_spec(doc, args: argparse.Namespace | None = None, where: str = "flags
 def load_experiment_spec(path: str | None, args: argparse.Namespace | None = None
                          ) -> ExperimentSpec:
     """Build the ExperimentSpec of a spec file (the demo spec when `path` is
-    None) with `args`' run flags applied on top."""
+    None) with `args`' flags applied on top."""
     if path is None:
         return _build_spec(_DEMO_SPEC, args)
     return _build_spec(read_json(path, "spec file"), args, path, Path(path).parent)
@@ -155,12 +157,19 @@ def _load_seasons(spec: ExperimentSpec) -> list[TrainingSet]:
         if [t.season_id for t in seasons] != list(range(1, len(seasons) + 1)):
             raise DataError(f"{spec.manifest}: season_ids must be contiguous starting at 1")
         return seasons
-    return synth_generate(replace(spec.synth, n_seasons=spec.missions + 1))
+    try:
+        return synth_generate(replace(spec.synth, n_seasons=spec.missions + 1))
+    except ValueError as exc:
+        raise UsageError(f"synth: {exc}: place_signal, season_drift and noise must keep "
+                         "the features within float32") from exc
 
 
 def run_experiment(spec: ExperimentSpec, out_dir: Path) -> dict:
     """Execute missions 1..n, evaluate VPC per protocol, write all reports."""
     cfg, label = spec.mission, spec.mission.strategy.label()
+    if not any(h.last_bit() for h in evolve_schedule(cfg.strategy, 1, cfg.capacity).histories):
+        raise UsageError(f"strategy {label} trains no slot in mission 1, so VPC would have "
+                         "no classifier")
     seasons = _load_seasons(spec)
     n_missions = min(spec.missions, len(seasons) - 1)
     _check_kbar(cfg.strategy, n_missions)
@@ -168,9 +177,6 @@ def run_experiment(spec: ExperimentSpec, out_dir: Path) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     state = initial_state(cfg.capacity)
     rows: list[dict] = []
-    series: dict[str, list[tuple[int, float]]] = {
-        f"error={t:g}m": [] for t in cfg.error_thresholds
-    }
     per_mission = []
     for i in range(1, n_missions + 1):
         state = run_adaptation(state, seasons[i - 1], cfg)
@@ -181,7 +187,6 @@ def run_experiment(spec: ExperimentSpec, out_dir: Path) -> dict:
         for err in cfg.error_thresholds:
             ratio = success_ratio(results, queries, err, cfg.success_mode)
             ratios[f"{err:g}"] = ratio
-            series[f"error={err:g}m"].append((i, ratio))
             rows.append({"mission": i, "strategy": label, "upd": cfg.partition.method,
                          "error": err, "mode": cfg.success_mode, "success_ratio": ratio})
         per_mission.append(
@@ -200,7 +205,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: Path) -> dict:
     (out_dir / "schedule.csv").write_text(report.schedule_csv(schedule))
     (out_dir / "schedule.svg").write_text(report.schedule_svg(schedule, title=label))
     (out_dir / "success.svg").write_text(
-        report.success_svg(series, title=f"{label} upd:{cfg.partition.method}"))
+        report.success_svg(rows, title=f"{label} upd:{cfg.partition.method}"))
     save_state(state, out_dir / "state.svpc")
     summary = {
         "strategy": label,
@@ -214,31 +219,23 @@ def run_experiment(spec: ExperimentSpec, out_dir: Path) -> dict:
     return summary
 
 
-def _given(**values) -> dict:
-    """The flags that were given, so that the config types' defaults apply."""
-    return {name: value for name, value in values.items() if value is not None}
-
-
 def cmd_run(args: argparse.Namespace) -> None:
     summary = run_experiment(load_experiment_spec(args.spec, args), Path(args.out))
     print(f"wrote reports for {len(summary['missions'])} missions to {args.out}")
 
 
 def cmd_placedef(args: argparse.Namespace) -> None:
-    try:
-        cfg = PartitionConfig(**_given(method=args.upd, t_d=args.td, k=args.k, seed=args.seed))
-        synth = SynthConfig(**_given(seed=args.seed))
-    except ValueError as exc:
-        raise UsageError(f"bad config value: {exc}") from exc
-    if args.manifest:
-        f_dim, bundles = load_manifest(args.manifest)
+    spec = _build_spec({}, args)
+    cfg = spec.mission.partition
+    if spec.manifest is not None:
+        f_dim, bundles = load_manifest(spec.manifest)
         wanted = args.season if args.season is not None else bundles[0].season_id
         matches = [b for b in bundles if b.season_id == wanted]
         if not matches:
-            raise DataError(f"{args.manifest}: no season {wanted}")
+            raise DataError(f"{spec.manifest}: no season {wanted}")
         train = load_bundle(matches[0], f_dim)
     else:
-        train = synth_generate(synth)[0]
+        train = synth_generate(spec.synth)[0]
     _check_partition(cfg, [train])
     partition = build_partition(train, cfg)
     out_dir = Path(args.out)
@@ -295,40 +292,38 @@ def _build_parser() -> argparse.ArgumentParser:
                      epilog=_REPORT_DOC,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command")
+    # The flags two subcommands share, each declared once.
+    place_flags = argparse.ArgumentParser(add_help=False)
+    place_flags.add_argument("--seed", type=int)
+    place_flags.add_argument("--upd", choices=PARTITION_METHODS)
+    place_flags.add_argument("--td", type=float)
+    schedule_flags = argparse.ArgumentParser(add_help=False)
+    schedule_flags.add_argument("--strategy", choices=STRATEGY_KINDS)
+    schedule_flags.add_argument("--nbar", type=int)
+    schedule_flags.add_argument("--kbar", type=int)
+    schedule_flags.add_argument("--missions", type=int)
+    schedule_flags.add_argument("--capacity", type=int)
 
-    run_p = sub.add_parser("run", help="run a full multi-season experiment")
+    run_p = sub.add_parser("run", help="run a full multi-season experiment",
+                           parents=[place_flags, schedule_flags])
     run_p.add_argument("--spec", help="experiment spec JSON")
     run_p.add_argument("--out", required=True, help="output directory")
-    run_p.add_argument("--seed", type=int)
-    run_p.add_argument("--missions", type=int)
-    run_p.add_argument("--strategy", choices=STRATEGY_KINDS)
-    run_p.add_argument("--nbar", type=int)
-    run_p.add_argument("--kbar", type=int)
-    run_p.add_argument("--upd", choices=PARTITION_METHODS)
-    run_p.add_argument("--td", type=float)
     run_p.add_argument("--x", type=int, help="fusion list length")
-    run_p.add_argument("--capacity", type=int)
     run_p.add_argument("--error", type=float, nargs="+", help="error thresholds in meters")
     run_p.add_argument("--mode", choices=SUCCESS_MODES)
     run_p.add_argument("--protocol", choices=PROTOCOLS)
     run_p.set_defaults(func=cmd_run)
 
-    pd_p = sub.add_parser("placedef", help="partition one season into place classes")
+    pd_p = sub.add_parser("placedef", help="partition one season into place classes",
+                          parents=[place_flags])
     pd_p.add_argument("--manifest", help="dataset manifest JSON (default: synthetic demo)")
     pd_p.add_argument("--season", type=int, help="season id within the manifest")
-    pd_p.add_argument("--upd", choices=PARTITION_METHODS)
-    pd_p.add_argument("--td", type=float)
     pd_p.add_argument("--k", type=int)
-    pd_p.add_argument("--seed", type=int)
     pd_p.add_argument("--out", required=True)
     pd_p.set_defaults(func=cmd_placedef)
 
-    sc_p = sub.add_parser("schedule", help="print/export a retraining schedule grid")
-    sc_p.add_argument("--strategy", choices=STRATEGY_KINDS, required=True)
-    sc_p.add_argument("--nbar", type=int)
-    sc_p.add_argument("--kbar", type=int)
-    sc_p.add_argument("--missions", type=int)
-    sc_p.add_argument("--capacity", type=int)
+    sc_p = sub.add_parser("schedule", help="print/export a retraining schedule grid",
+                          parents=[schedule_flags])
     sc_p.add_argument("--out")
     sc_p.set_defaults(func=cmd_schedule)
     return parser

@@ -287,7 +287,7 @@ class PartitionSummary:
     one entry per class: keyframe_ids and keyframe_timestamps (K,) int64,
     keyframe_poses and representatives (K, 3) float64 x, y, heading, and
     sizes (K,) uint32 (`CLASS_RECORD`). The arrays are read-only copies of
-    the inputs. Equal summaries hold equal columns.
+    the inputs, and every pose is finite with a heading in (-pi, pi].
 
     A PlacePartition holds member row indices into its season, and both exist
     only while that season is being processed; only this summary, built by
@@ -311,6 +311,11 @@ class PartitionSummary:
             if a.shape != shape:
                 raise ValueError(f"{name} must be a {shape} array, got {a.shape}")
             object.__setattr__(self, name, _read_only(a))
+        poses = np.concatenate([self.keyframe_poses, self.representatives])
+        if not np.isfinite(poses).all():
+            raise ValueError("non-finite pose in a partition summary")
+        if not ((poses[:, 2] > -math.pi) & (poses[:, 2] <= math.pi)).all():
+            raise ValueError("heading outside (-pi, pi] in a partition summary")
 
     @property
     def classes(self) -> range:
@@ -357,8 +362,12 @@ class ClassifierRecord:
     def __post_init__(self) -> None:
         if (self.model is None) != (self.partition is None):
             raise ValueError("model and partition must be present or absent together")
-        if self.model is not None and self.model.n_classes != len(self.partition.classes):
-            raise ValueError("model output classes must match the partition")
+        m = self.model
+        if m is not None and m.n_classes != len(self.partition.sizes):
+            raise ValueError(f"partition of {len(self.partition.sizes)} classes for a "
+                             f"model of {m.n_classes}")
+        if m is not None and not all(np.isfinite(a).all() for a in (m.w1, m.b1, m.w2, m.b2)):
+            raise ValueError("non-finite model parameter")
 
 
 @dataclass(frozen=True, eq=False)

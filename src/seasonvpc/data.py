@@ -285,7 +285,7 @@ def synth_generate(cfg: SynthConfig) -> list[TrainingSet]:
     for s in range(cfg.n_seasons):
         rng = np.random.default_rng((cfg.seed, 7919, s))
         poses = np.empty((n, 3))
-        feats = np.empty((n, cfg.feature_dim), dtype=np.float32)
+        feats = np.empty((n, cfg.feature_dim))
         for idx, p in enumerate(place.tolist()):
             wp = waypoints[p]
             if cfg.pose_jitter > 0:
@@ -299,6 +299,8 @@ def synth_generate(cfg: SynthConfig) -> list[TrainingSet]:
                 + cfg.season_drift * season_vecs[s]
                 + cfg.noise * rng.standard_normal(cfg.feature_dim)
             )
+        with np.errstate(over="ignore"):  # TrainingSet refuses the infinities
+            feats = feats.astype(np.float32)
         seasons.append(TrainingSet(
             season_id=s + 1, label=f"synth-season-{s + 1}",
             timestamps=np.arange(n, dtype=np.int64) * 1_000_000, poses=poses, features=feats,

@@ -334,20 +334,6 @@ class _Reader:
         return value[0] if value else True
 
 
-def _partition(rows: np.ndarray, source_season: int, method: str) -> PartitionSummary:
-    """The summary of a partition's packed class records, which must hold
-    dense class ids, finite poses and headings in (-pi, pi]."""
-    if not np.array_equal(rows["class_id"], np.arange(len(rows))):
-        raise StateFormatError("partition class ids must be 0..K-1 in order")
-    poses = np.concatenate([rows["keyframe_poses"], rows["representatives"]])
-    if not np.isfinite(poses).all():
-        raise StateFormatError("non-finite pose in a partition record")
-    if not ((poses[:, 2] > -math.pi) & (poses[:, 2] <= math.pi)).all():
-        raise StateFormatError("heading outside (-pi, pi] in a partition record")
-    return PartitionSummary(**{name: rows[name] for name in SUMMARY_COLUMNS},
-                            source_season=source_season, method=method)
-
-
 def _deserialize(blob: bytes | memoryview) -> EnsembleState:
     r = _Reader(blob)
     mission, capacity, n_records = r.take(_COUNTS)
@@ -364,8 +350,6 @@ def _deserialize(blob: bytes | memoryview) -> EnsembleState:
             # u32 dimensions cannot wrap, and array() checks the length
             # before anything is allocated.
             params = r.array(_F64, hidden * f_dim + hidden + n_classes * hidden + n_classes)
-            if not np.isfinite(params).all():
-                raise StateFormatError("non-finite model parameter")
             model = model_from_flat(params, f_dim, hidden, n_classes,
                                     final_loss=r.optional(_LOSS, "final_loss"),
                                     seed=r.optional(_SEED, "seed"))
@@ -374,11 +358,12 @@ def _deserialize(blob: bytes | memoryview) -> EnsembleState:
             source_season, method_code, n_classes_p = r.take(_PARTITION)
             if method_code >= len(PARTITION_METHODS):
                 raise StateFormatError(f"unknown partition method code {method_code}")
-            if model is not None and n_classes_p != model.n_classes:
-                raise StateFormatError(f"partition of {n_classes_p} classes for a model "
-                                       f"of {model.n_classes}")
-            partition = _partition(r.array(CLASS_RECORD, n_classes_p), source_season,
-                                   PARTITION_METHODS[method_code])
+            rows = r.array(CLASS_RECORD, n_classes_p)
+            if not np.array_equal(rows["class_id"], np.arange(n_classes_p)):
+                raise StateFormatError("partition class ids must be 0..K-1 in order")
+            partition = PartitionSummary(**{name: rows[name] for name in SUMMARY_COLUMNS},
+                                         source_season=source_season,
+                                         method=PARTITION_METHODS[method_code])
         records.append(ClassifierRecord(history=history, partition=partition, model=model))
     if r.pos != len(blob):
         raise StateFormatError("trailing bytes in state payload")
@@ -426,7 +411,7 @@ def load_state(path) -> EnsembleState:
         raise StateFormatError(f"{path}: checksum mismatch")
     try:
         return _deserialize(payload)
-    except ValueError as exc:  # a record the domain types reject, e.g. a history bit of 2
+    except ValueError as exc:  # a record core's types refuse, e.g. a heading of 4
         raise StateFormatError(f"{path}: invalid record: {exc}") from exc
 
 

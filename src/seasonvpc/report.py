@@ -77,10 +77,12 @@ def schedule_svg(schedule: Schedule, title: str = "") -> str:
     return "\n".join(parts) + "\n"
 
 
-def success_svg(series: dict[str, list[tuple[int, float]]],
-                title: str = "success ratio vs mission") -> str:
+def success_svg(rows: Sequence[dict], title: str = "success ratio vs mission") -> str:
     """Line chart of success ratio (0..1) against mission id, one polyline
-    per labeled series (typically one per error threshold)."""
+    per error threshold of `results_csv`'s rows."""
+    series: dict[str, list[tuple[int, float]]] = {}
+    for r in rows:
+        series.setdefault(f"error={r['error']:g}m", []).append((r["mission"], r["success_ratio"]))
     width, height = 420, 300
     left, right, top, bottom = 52, 14, 34, 40
     plot_w, plot_h = width - left - right, height - top - bottom

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -179,6 +180,15 @@ def test_diverging_training_raises_instead_of_returning_non_finite_parameters(fn
             train(x, y, 3, cfg)
         else:
             fine_tune(init_model(x.shape[1], cfg.hidden, 3), x, y, 3, cfg)
+
+
+def test_diverging_training_warns_nothing():
+    rng = np.random.default_rng(7)
+    x, y = _blobs(rng)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would raise here
+        with pytest.raises(DivergenceError):
+            train(x, y, 3, TrainConfig(learning_rate=1e300, epochs=3, seed=1))
 
 
 def test_fine_tune_zero_epochs_copies_body_and_replaces_head():

@@ -1,3 +1,4 @@
+import argparse
 import json
 from pathlib import Path
 
@@ -358,6 +359,9 @@ MALFORMED_INPUTS = {
     "partition_kmeans_iters_fractional": (RUN_SPEC, _partition(kmeans_iters=2.5)),
     "partition_t_d_past_float": (RUN_SPEC, _set("partition", "t_d", 10**400)),
     "train_learning_rate_past_float": (RUN_SPEC, _set("train", "learning_rate", 10**400)),
+    "strategy_never_trains": ([*RUN_SPEC, "--strategy", "ST2", "--nbar", "0"], None),
+    "synth_place_signal_past_float32": (RUN_SPEC, _set("synth", "place_signal", 1e300)),
+    "synth_noise_past_float32": (RUN_SPEC, _set("synth", "noise", 1e300)),
 }
 
 
@@ -371,6 +375,7 @@ def test_malformed_config_is_usage_error(tmp_path, capsys, caplog, argv, edit):
 
 IGNORED_SPEC_VALUES = {
     "train.seed": _set("train", "seed", 5),
+    "partition.seed": _set("partition", "seed", 2),
     "synth.seed": _set("synth", "seed", 9),
     "synth.n_seasons": _set("synth", "n_seasons", 7),
     "nbar": _set("strategy", "nbar", 2),  # a strategy key StrategyConfig does not have
@@ -397,3 +402,33 @@ def test_spec_value_that_would_be_ignored_is_refused_by_name(tmp_path, capsys, r
     assert _main_on_spec(tmp_path, RUN_SPEC, edit) == 1
     err = capsys.readouterr().err
     assert "usage error" in err and request.node.callspec.id in err
+
+
+def test_placedef_partition_is_the_one_run_trains_on(tmp_path):
+    # The top-level seed seeds k-means for both subcommands.
+    flags = ["--upd", "location-appearance", "--seed", "3"]
+    assert main(["placedef", *flags, "--out", str(tmp_path / "pd")]) == 0
+    assert main(["run", *flags, "--missions", "1", "--out", str(tmp_path / "run")]) == 0
+    pairs = [tuple(map(int, line.split(",")))
+             for line in (tmp_path / "pd" / "partition.csv").read_text().splitlines()[1:]]
+    keyframes = {}
+    for image, cls in pairs:
+        keyframes.setdefault(cls, image)
+    partition = load_state(tmp_path / "run" / "state.svpc").classifiers[0].partition
+    assert partition.keyframe_ids.tolist() == [keyframes[c] for c in range(len(keyframes))]
+    assert partition.sizes.tolist() == np.bincount([cls for _, cls in pairs]).tolist()
+
+
+# Flags that only configure one subcommand's own input or output; every other
+# flag writes a spec key through cli._FLAGS.
+LOCAL_FLAGS = {"spec", "out", "season"}
+
+
+def test_every_flag_is_in_the_flag_table():
+    from seasonvpc.cli import _FLAGS, _build_parser
+    subparsers = next(a for a in _build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    dests = {a.dest for parser in subparsers.choices.values() for a in parser._actions
+             if a.dest != "help"}
+    assert dests - LOCAL_FLAGS <= set(_FLAGS)
+    assert set(_FLAGS) <= dests

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from seasonvpc import (
+    ClassifierRecord,
     PartitionConfig,
+    PartitionSummary,
     PlaceClass,
     PlacePartition,
     RetrainHistory,
@@ -13,6 +15,7 @@ from seasonvpc import (
     Viewpoint,
     angle_difference,
     build_partition,
+    init_model,
     membership_labels,
     normalize_angle,
     ones_count,
@@ -219,3 +222,30 @@ def test_partition_summary_reads_keyframe_and_centroid_from_the_season(line7):
     assert s.representatives[1].tolist() == [18.0, 0.0, 0.0]
     with pytest.raises(ValueError, match="season"):
         part.summary(line_training_set(7, season_id=2))
+
+
+def _summary(keyframe_pose=(0.0, 0.0, 0.0), representative=(1.0, 0.0, math.pi)):
+    return PartitionSummary(keyframe_ids=[0], keyframe_timestamps=[0],
+                            keyframe_poses=[keyframe_pose], representatives=[representative],
+                            sizes=[1], source_season=1, method="location")
+
+
+@pytest.mark.parametrize("column", ["keyframe_pose", "representative"])
+def test_partition_summary_refuses_non_finite_poses_and_headings_outside_pi(column):
+    _summary(**{column: (0.0, 0.0, math.pi)})
+    with pytest.raises(ValueError, match="non-finite pose"):
+        _summary(**{column: (math.nan, 0.0, 0.0)})
+    for heading in (4.0, -math.pi):
+        with pytest.raises(ValueError, match="heading outside"):
+            _summary(**{column: (0.0, 0.0, heading)})
+
+
+def test_classifier_record_refuses_a_non_finite_parameter_and_a_class_count_mismatch():
+    history = RetrainHistory((1,))
+    model = init_model(3, 2, 1)
+    ClassifierRecord(history, _summary(), model)
+    model.b2[0] = math.nan
+    with pytest.raises(ValueError, match="non-finite model parameter"):
+        ClassifierRecord(history, _summary(), model)
+    with pytest.raises(ValueError, match="partition of 1 classes for a model of 2"):
+        ClassifierRecord(history, _summary(), init_model(3, 2, 2))

@@ -203,7 +203,7 @@ VALID_SPEC = {
               "place_signal": 1.0, "season_drift": 0.6, "noise": 0.2, "pose_jitter": 0.25},
     "strategy": {"kind": "ST3", "n_bar": 1, "k_bar": 2, "st3_filter": False},
     "partition": {"method": "location-appearance", "t_d": 18.0, "k": 3, "kmeans_iters": 5,
-                  "seed": 2, "pos_max": 30.0, "ang_max": 0.5, "feat_max": 0.8},
+                  "pos_max": 30.0, "ang_max": 0.5, "feat_max": 0.8},
     "train": {"learning_rate": 0.5, "epochs": 4, "batch_size": 8, "hidden": 16,
               "weight_scale": 0.1},
     "fusion_x": 5, "capacity": 3, "error_thresholds": [10.0, 20.0], "mode": "topx",
@@ -246,5 +246,5 @@ def test_valid_spec_builds(tmp_path):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(VALID_SPEC))
     spec = load_experiment_spec(str(path))
-    assert spec.mission.train.seed == spec.synth.seed == 1
+    assert spec.mission.train.seed == spec.synth.seed == spec.mission.partition.seed == 1
     assert spec.manifest == str(tmp_path / "m.json")

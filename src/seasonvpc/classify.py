@@ -191,8 +191,32 @@ def _row_blocks(hidden: int, f_dim: int) -> tuple[tuple[int, int], ...]:
     return tuple(zip(starts, [*starts[1:], hidden]))
 
 
-def predict(m: ModelParams, features: np.ndarray) -> np.ndarray:
-    """Class probabilities (n, K) for a batch of feature vectors (n, F).
+class ModelStack:
+    """Models of one input width (`vpc_plan` checks a plan's) as one network,
+    their hidden units and classes side by side (hidden ΣH, n_classes C).
+    body holds each w1 row block's .T (`_row_blocks`) and hidden-unit span,
+    heads each w2.T and its hidden-unit and class spans: views, never a copy
+    of a w1. b1 and b2 concatenate the models' biases; width is their common
+    class count, None if they differ. Immutable by convention. Built with
+    Python integers, and for one model without a copy (`predict` of one)."""
+
+    def __init__(self, models: list[ModelParams]) -> None:
+        self.feature_dim = f_dim = models[0].w1.shape[1]
+        body, heads, h0, k0 = [], [], 0, 0
+        for m in models:
+            k, hidden = m.w2.shape
+            body += [(m.w1[a:b].T, h0 + a, h0 + b) for a, b in _row_blocks(hidden, f_dim)]
+            heads.append((m.w2.T, h0, h0 + hidden, k0, k0 + k))
+            h0, k0 = h0 + hidden, k0 + k
+        self.hidden, self.n_classes, self.body, self.heads = h0, k0, tuple(body), tuple(heads)
+        self.b1, self.b2 = (models[0].b1, models[0].b2) if len(models) == 1 else (
+            np.concatenate([m.b1 for m in models]), np.concatenate([m.b2 for m in models]))
+        self.width = models[0].n_classes if len({m.n_classes for m in models}) == 1 else None
+
+
+def predict(m: ModelParams | ModelStack, features: np.ndarray) -> np.ndarray:
+    """Class probabilities (n, K) for a batch of feature vectors (n, F); for
+    a `ModelStack`, (n, C), each model's in its class span.
 
     Each row is multiplied on its own: the matmuls are stacked over an
     (n, 1, F) batch, so every row runs the same matrix-vector products as a
@@ -200,29 +224,39 @@ def predict(m: ModelParams, features: np.ndarray) -> np.ndarray:
     batch it arrives in; one (n, F) GEMM would block the sums differently
     depending on n and change the last bits.
 
-    w1 is multiplied in row blocks (`_row_blocks`) that fit in L2, each
-    over the whole batch; a w1 within BLOCK_BYTES is one block. The bounds
-    depend on the model's shape only, so batch invariance holds at any BLAS
-    thread count. With OpenBLAS at one thread on x86-64 (the benchmark's
-    setting, where the oracle grid was run) the result also equals the
-    unblocked product bit for bit; with more threads, or another BLAS, the
-    bits can differ from the unblocked product, but still not with the batch.
+    w1 is multiplied in row blocks (`_row_blocks`) whose bounds depend on
+    its shape only, so batch invariance holds at any BLAS thread count. With
+    OpenBLAS at one thread on x86-64 (the benchmark's setting, where the
+    oracle grids were run) the result also equals the unblocked product bit
+    for bit; with more threads, or another BLAS, it can differ from that
+    product in the last bits, but still not with the batch.
+
+    A model in a stack gives the bits it gives alone: the same matmul calls
+    on the same operands write into its spans of the shared hidden layer
+    and logits, the rest is elementwise, and its softmax sum is one
+    contiguous per-row reduction over its classes, in numpy's pairwise order.
     """
+    stack = ModelStack([m]) if isinstance(m, ModelParams) else m
     x = np.asarray(features, dtype=np.float64)
-    hidden, f_dim = m.w1.shape
-    if x.ndim != 2 or x.shape[1] != f_dim:
-        raise ValueError(f"feature batch shape {x.shape} != (n, {f_dim})")
-    rows = x[:, None, :]
-    z1 = np.empty((len(x), 1, hidden))
-    for a, b in _row_blocks(hidden, f_dim):
-        np.matmul(rows, m.w1[a:b].T, out=z1[:, :, a:b])
+    if x.ndim != 2 or x.shape[1] != stack.feature_dim:
+        raise ValueError(f"feature batch shape {x.shape} != (n, {stack.feature_dim})")
+    z1 = np.empty((len(x), 1, stack.hidden))
+    for w1t, a, b in stack.body:
+        np.matmul(x[:, None, :], w1t, out=z1[:, :, a:b])
     # In place: the same ufuncs on the same values as z1 + b1 and so on,
     # so the same bits, without a temporary per step.
-    z1 += m.b1
+    z1 += stack.b1
     np.maximum(z1, 0.0, out=z1)
-    logits = (z1 @ m.w2.T)[:, 0, :]
-    logits += m.b2
-    return _softmax(logits)
+    logits = np.empty((len(x), stack.n_classes))
+    for w2t, a, b, c, d in stack.heads:
+        np.matmul(z1[:, :, a:b], w2t, out=logits[:, None, c:d])
+    logits += stack.b2
+    if stack.width:  # each row's S spans of K classes: one (n * S, K) softmax
+        _softmax(logits.reshape(-1, stack.width))
+    else:
+        for *_, c, d in stack.heads:
+            _softmax(logits[:, c:d])
+    return logits
 
 
 @dataclass

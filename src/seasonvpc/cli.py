@@ -105,6 +105,8 @@ def _build_spec(doc, args: argparse.Namespace | None = None, where: str = "flags
                              "seed and missions set the seeds and the season count")
     sections = {name: doc.pop(name) for name in _SECTIONS}
     seed = doc.get("seed", ExperimentSpec.seed)
+    if isinstance(seed, int) and seed < 0:  # each config below would name its own fields
+        raise UsageError(f"{where}: seed must be >= 0, got {seed}")
     try:
         mission = MissionConfig(
             strategy=StrategyConfig(**sections["strategy"]),

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .classify import (DivergenceError, ModelParams, TrainConfig, fine_tune, model_from_flat,
+from .classify import (DivergenceError, ModelStack, TrainConfig, fine_tune, model_from_flat,
                        predict, train)
 from .core import (
     CLASS_RECORD,
@@ -170,13 +170,13 @@ def active_slots(state: EnsembleState, strategy: StrategyConfig) -> list[int]:
 @dataclass(frozen=True, eq=False)
 class VPCPlan:
     """What `run_vpc` reads of a state under one strategy: the active slots,
-    their models, and what each column of the models' slot-concatenated
+    their models as one `ModelStack`, and what each column of the stack's
     probability rows stands for: its slot and its class within that slot,
     (C,) int64, and the class's representative pose, (C, 3) float64. The
     column arrays are read-only."""
 
     slots: tuple[int, ...]
-    models: tuple[ModelParams, ...]
+    stack: ModelStack
     column_slots: np.ndarray
     column_classes: np.ndarray
     column_poses: np.ndarray
@@ -197,9 +197,12 @@ def vpc_plan(state: EnsembleState, strategy: StrategyConfig) -> VPCPlan:
         if not slots:
             raise ValueError("no trained classifiers available for VPC")
         records = [state.classifiers[j] for j in slots]
+        if len({rec.model.feature_dim for rec in records}) > 1:
+            raise ValueError("active slots take features of different dimensions: " + ", ".join(
+                f"slot {j}: {rec.model.feature_dim}" for j, rec in zip(slots, records)))
         widths = [rec.model.n_classes for rec in records]
         plan = plans.setdefault(strategy, VPCPlan(
-            tuple(slots), tuple(rec.model for rec in records),
+            tuple(slots), ModelStack([rec.model for rec in records]),
             _read_only(np.repeat(np.array(slots, dtype=np.int64), widths)),
             _read_only(np.concatenate([np.arange(k, dtype=np.int64) for k in widths])),
             _read_only(np.concatenate([rec.partition.representatives for rec in records]))))
@@ -210,12 +213,12 @@ def run_vpc(state: EnsembleState, queries: Sequence[MappedImage],
             cfg: MissionConfig) -> Ranking:
     """Classify every query through the ensemble and fuse the ranked lists.
 
-    One forward pass per active slot over all queries, then one ranking of
-    the slot-concatenated probability rows, gathered from the state's
-    `vpc_plan` into a columnar `Ranking`. Each query's row is identical to
-    ranking each slot's classes and fusing the lists (`fuse`), and does not
-    depend on the other queries in the batch. Pure with respect to the
-    state's fields; deterministic.
+    One forward pass over all queries through the active slots'
+    `ModelStack`, then one ranking of its probability rows, gathered from
+    the state's `vpc_plan` into a columnar `Ranking`. Each query's row is
+    identical to ranking each slot's classes and fusing the lists (`fuse`),
+    and does not depend on the other queries in the batch. Pure with
+    respect to the state's fields; deterministic.
     """
     if state.mission < 1:
         raise ValueError("VPC needs at least one adaptation mission")
@@ -223,7 +226,7 @@ def run_vpc(state: EnsembleState, queries: Sequence[MappedImage],
     if not queries:
         return Ranking.empty()
     features = np.array([q.feature for q in queries], dtype=np.float64)
-    probs = np.concatenate([predict(m, features) for m in plan.models], axis=1)
+    probs = predict(plan.stack, features)
     order = top_x(probs, cfg.fusion_x)
     return Ranking(slots=plan.column_slots[order], classes=plan.column_classes[order],
                    probabilities=probs[np.arange(len(order))[:, None], order],

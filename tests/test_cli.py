@@ -373,6 +373,25 @@ def test_malformed_config_is_usage_error(tmp_path, capsys, caplog, argv, edit):
     assert "Traceback" not in err + caplog.text
 
 
+NEGATIVE_SEEDS = {
+    "run_flag": (["run", "--seed", "-1"], None),
+    "placedef_flag": (["placedef", "--seed", "-1"], None),
+    "run_spec": (RUN_SPEC, _set(None, "seed", -2)),
+    "run_spec_and_flag": ([*RUN_SPEC, "--seed", "-3"], None),
+}
+
+
+@pytest.mark.parametrize("argv, edit", NEGATIVE_SEEDS.values(), ids=NEGATIVE_SEEDS)
+def test_negative_seed_is_refused_by_name(tmp_path, capsys, argv, edit):
+    # One seed feeds synthesis, k-means and training; the error names it,
+    # not a config field the user did not set.
+    assert _main_on_spec(tmp_path, argv, edit) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and "seed must be >= 0" in err
+    assert "kmeans_iters" not in err
+    assert not (tmp_path / "out").exists()
+
+
 IGNORED_SPEC_VALUES = {
     "train.seed": _set("train", "seed", 5),
     "partition.seed": _set("partition", "seed", 2),

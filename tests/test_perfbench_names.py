@@ -101,7 +101,9 @@ def test_every_run_vpc_calls_the_traced_names(monkeypatch):
     # spans.py times predict and top_x by patching them on seasonvpc.missions;
     # run_vpc must look both up there on every call, whether or not the
     # state's VPC plan is already built, or the traced classify.predict_* and
-    # fusion.top_x_* metrics read zero without any error.
+    # fusion.top_x_* metrics read zero without any error. One predict call
+    # runs every active slot; spans.py counts its flops from the shape
+    # attributes of its first argument.
     seasons = synth_generate(SynthConfig(n_places=4, loop_length=80.0, images_per_place=2,
                                          feature_dim=5, n_seasons=4, seed=2))
     cfg = MissionConfig(strategy=StrategyConfig("ST2", n_bar=1), capacity=3,
@@ -111,12 +113,15 @@ def test_every_run_vpc_calls_the_traced_names(monkeypatch):
         state = run_adaptation(state, season, cfg)
     queries = missions.queries_from_set(seasons[-1])
     calls = {"predict": 0, "top_x": 0}
+    predicted = []
 
     def counted(name):
         fn = getattr(missions, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
+            if name == "predict":
+                predicted.append(args[0])
             return fn(*args, **kwargs)
         return wrapper
 
@@ -127,5 +132,10 @@ def test_every_run_vpc_calls_the_traced_names(monkeypatch):
     for batch in (queries, queries[:1], queries, queries[2:5], queries[:1]):
         before = dict(calls)
         missions.run_vpc(state, batch, cfg)
-        assert calls["predict"] - before["predict"] == len(slots)
+        assert calls["predict"] - before["predict"] == 1
         assert calls["top_x"] - before["top_x"] == 1
+    models = [state.classifiers[j].model for j in slots]
+    for stack in predicted:
+        assert stack.feature_dim == 5
+        assert stack.hidden == sum(m.hidden for m in models)
+        assert stack.n_classes == sum(m.n_classes for m in models)

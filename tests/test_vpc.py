@@ -23,7 +23,7 @@ from seasonvpc import (
     states_equal,
 )
 
-from seasonvpc.classify import BLOCK_BYTES, predict
+from seasonvpc.classify import BLOCK_BYTES, ModelStack, _row_blocks, predict
 from seasonvpc.fusion import PARTIAL_WIDTH
 from seasonvpc.missions import active_slots, vpc_plan
 
@@ -142,6 +142,58 @@ def test_predict_is_batch_invariant_at_default_blas_threads():
         assert np.array_equal(predict(m, x[5:17]), batch[5:17])
 
 
+STACK_H = (5, 16, 17, 64)
+STACK_K = (1, 2, 20, 300)
+STACK_F = (8, 32, 4096)
+
+
+def _stack_grid():
+    """Per F of STACK_F: stacks of 1-4 models, and max(GRID_N) query rows.
+
+    Mixed stacks pair each H of STACK_H with a K of STACK_K, so their class
+    spans differ; uniform ones give every H 20 classes, the case softmaxed
+    as one (n * S, K) view. Some stacks hold one model twice."""
+    for f_dim in STACK_F:
+        rng = np.random.default_rng(f_dim)
+
+        def model(hidden, k):
+            m = init_model(f_dim, hidden, k, seed=int(rng.integers(1 << 30)), weight_scale=0.3)
+            m.b1[:] = rng.normal(size=hidden)
+            m.b2[:] = rng.normal(size=k)
+            return m
+        mixed = [model(h, k) for h, k in zip(STACK_H, STACK_K)]
+        uniform = [model(h, 20) for h in STACK_H]
+        stacks = [mixed[:1], mixed[3:], mixed[:2], mixed[1:], mixed, mixed[::-1],
+                  [mixed[2], mixed[0], mixed[2]], [mixed[3], mixed[3]],
+                  uniform[:1], uniform[2:], uniform, [uniform[1], uniform[3], uniform[1]]]
+        yield stacks, rng.normal(size=(max(GRID_N), f_dim))
+
+
+def check_stack_matches_per_model_oracle():
+    """A stack's probability rows equal each model's per-row oracle
+    probabilities side by side, bit for bit, on every grid stack and batch
+    size. The same BLAS condition as check_predict_matches_oracle."""
+    for stacks, x in _stack_grid():
+        for models in stacks:
+            want = np.hstack([[predict_one(m, row) for row in x] for m in models])
+            stack = ModelStack(models)
+            for n in GRID_N:
+                got = predict(stack, x[:n])
+                assert np.array_equal(got, want[:n]), (
+                    [(m.feature_dim, m.hidden, m.n_classes) for m in models], n)
+
+
+def test_stack_matches_per_model_oracle_at_one_blas_thread():
+    stacks = [models for grid, _x in _stack_grid() for models in grid]
+    assert {len(models) for models in stacks} == {1, 2, 3, 4}
+    # 4096 x 64 runs two row blocks inside a stack
+    assert any(len(_row_blocks(m.hidden, m.feature_dim)) == 2 for models in stacks
+               for m in models)
+    widths = {ModelStack(models).width for models in stacks}
+    assert None in widths and 20 in widths
+    run_at_one_blas_thread(check_stack_matches_per_model_oracle)
+
+
 def _wide_state(f_dim, seed):
     rng = np.random.default_rng(seed)
     records = []
@@ -178,6 +230,19 @@ def test_feature_dimension_mismatch_raises():
     cfg = MissionConfig(strategy=StrategyConfig("ST1"))
     with pytest.raises(ValueError):
         run_vpc(state, _queries(np.random.default_rng(7), 2, 15), cfg)
+
+
+def test_slots_of_different_feature_dimensions_are_refused_at_plan_build():
+    rng = np.random.default_rng(8)
+    state = EnsembleState(mission=2, capacity=2, classifiers=tuple(
+        ClassifierRecord(RetrainHistory(bits), _partition(rng, 4), init_model(f, 6, 4, seed=f))
+        for f, bits in ((16, (1, 0)), (15, (0, 1)))))
+    cfg = MissionConfig(strategy=StrategyConfig("ST1"))
+    with pytest.raises(ValueError, match="slot 0: 16, slot 1: 15"):
+        vpc_plan(state, cfg.strategy)
+    for f_dim in (16, 15):
+        with pytest.raises(ValueError, match="slot 0: 16, slot 1: 15"):
+            run_vpc(state, _queries(rng, 2, f_dim), cfg)
 
 
 # --- the per-state VPC plan ---------------------------------------------

@@ -168,7 +168,9 @@ def _forward(m: ModelParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
 # cache. Half of a 2 MiB per-core L2: 500 queries x 4096-d through 4 models
 # of H 64 (one OpenBLAS thread, x86-64) took 101-107 ms unblocked, where
 # every row streams the whole 2 MiB w1 from L3 again, and 58-60 ms in two
-# 32-row blocks. A w1 within BLOCK_BYTES is one block.
+# 32-row blocks. A w1 within BLOCK_BYTES is one block, and so is a stack of
+# models of one shape whose weights together fit in it (`ModelStack`'s
+# stacked layout): it copies them, so a stack copies at most BLOCK_BYTES.
 BLOCK_BYTES = 1 << 20
 # Blocks start on, and span, multiples of this many rows. This is not a BLAS
 # contract: it was found by testing against the unblocked per-row product
@@ -192,16 +194,44 @@ def _row_blocks(hidden: int, f_dim: int) -> tuple[tuple[int, int], ...]:
 
 
 class ModelStack:
-    """Models of one input width (`vpc_plan` checks a plan's) as one network,
-    their hidden units and classes side by side (hidden ΣH, n_classes C).
-    body holds each w1 row block's .T (`_row_blocks`) and hidden-unit span,
-    heads each w2.T and its hidden-unit and class spans: views, never a copy
-    of a w1. b1 and b2 concatenate the models' biases; width is their common
+    """Models of one input width as one network, their hidden units and
+    classes side by side (hidden ΣH, n_classes C); width is their common
     class count, None if they differ. Immutable by convention. Built with
-    Python integers, and for one model without a copy (`predict` of one)."""
+    Python integers, and for one model without a copy (`predict` of one).
+
+    The layout is chosen by shape alone, never by batch:
+    - Stacked, when every model has one (H, K) and their w1 and w2 together
+      fit in BLOCK_BYTES: w1t (S, 1, F, H) and w2t (S, H, K) hold each
+      w1.T and w2.T, and b1 is (S, 1, 1, H). For several models these are
+      copies, at most BLOCK_BYTES; for one, views.
+    - Spans, otherwise (w1t is None): body holds each w1 row block's .T
+      (`_row_blocks`) and hidden-unit span, heads each w2.T and its
+      hidden-unit and class spans, all views; b1 concatenates the biases.
+    b2 concatenates the models' biases in either layout."""
 
     def __init__(self, models: list[ModelParams]) -> None:
-        self.feature_dim = f_dim = models[0].w1.shape[1]
+        f_dims = [m.w1.shape[1] for m in models]
+        if len(set(f_dims)) > 1:
+            raise ValueError("models take features of different dimensions: " + ", ".join(
+                f"model {i}: {f}" for i, f in enumerate(f_dims)))
+        self.feature_dim = f_dim = f_dims[0]
+        shapes = [m.w2.shape for m in models]  # (K, H) each
+        s, (k, hidden) = len(models), shapes[0]
+        self.width = k if len({c for c, _ in shapes}) == 1 else None
+        self.b1, self.b2 = (models[0].b1, models[0].b2) if s == 1 else (
+            np.concatenate([m.b1 for m in models]), np.concatenate([m.b2 for m in models]))
+        if shapes.count(shapes[0]) == s and 8 * s * hidden * (f_dim + k) <= BLOCK_BYTES:
+            self.hidden, self.n_classes, self.body, self.heads = s * hidden, s * k, (), ()
+            self.b1 = self.b1.reshape(s, 1, 1, hidden)
+            if s == 1:
+                self.w1t, self.w2t = models[0].w1.T[None, None], models[0].w2.T[None]
+            else:  # each slice F-contiguous, as w1.T and w2.T are: the same GEMVs
+                self.w1t = np.concatenate([m.w1 for m in models]).reshape(
+                    s, hidden, f_dim).transpose(0, 2, 1)[:, None]
+                self.w2t = np.concatenate([m.w2 for m in models]).reshape(
+                    s, k, hidden).transpose(0, 2, 1)
+            return
+        self.w1t = self.w2t = None
         body, heads, h0, k0 = [], [], 0, 0
         for m in models:
             k, hidden = m.w2.shape
@@ -209,9 +239,6 @@ class ModelStack:
             heads.append((m.w2.T, h0, h0 + hidden, k0, k0 + k))
             h0, k0 = h0 + hidden, k0 + k
         self.hidden, self.n_classes, self.body, self.heads = h0, k0, tuple(body), tuple(heads)
-        self.b1, self.b2 = (models[0].b1, models[0].b2) if len(models) == 1 else (
-            np.concatenate([m.b1 for m in models]), np.concatenate([m.b2 for m in models]))
-        self.width = models[0].n_classes if len({m.n_classes for m in models}) == 1 else None
 
 
 def predict(m: ModelParams | ModelStack, features: np.ndarray) -> np.ndarray:
@@ -231,25 +258,37 @@ def predict(m: ModelParams | ModelStack, features: np.ndarray) -> np.ndarray:
     for bit; with more threads, or another BLAS, it can differ from that
     product in the last bits, but still not with the batch.
 
-    A model in a stack gives the bits it gives alone: the same matmul calls
-    on the same operands write into its spans of the shared hidden layer
-    and logits, the rest is elementwise, and its softmax sum is one
-    contiguous per-row reduction over its classes, in numpy's pairwise order.
+    A model in a stack gives the bits it gives alone: in either layout the
+    same matrix-vector products on operands of the same layout write its
+    part of the hidden layer and its class span of the logits, the rest is
+    elementwise, and its softmax sum is one contiguous per-row reduction
+    over its classes, in numpy's pairwise order. A stacked layout runs each
+    layer as one broadcast matmul over every (model, row) pair instead of
+    one call per span: the body model-outer, so each w1 is reused across
+    the rows while in cache, the heads row-outer, straight into the logits.
     """
     stack = ModelStack([m]) if isinstance(m, ModelParams) else m
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != stack.feature_dim:
         raise ValueError(f"feature batch shape {x.shape} != (n, {stack.feature_dim})")
-    z1 = np.empty((len(x), 1, stack.hidden))
-    for w1t, a, b in stack.body:
-        np.matmul(x[:, None, :], w1t, out=z1[:, :, a:b])
+    n = len(x)
+    if stack.w1t is not None:
+        z1 = np.matmul(x[None, :, None, :], stack.w1t)  # (S, n, 1, H)
+    else:
+        z1 = np.empty((n, 1, stack.hidden))
+        for w1t, a, b in stack.body:
+            np.matmul(x[:, None, :], w1t, out=z1[:, :, a:b])
     # In place: the same ufuncs on the same values as z1 + b1 and so on,
     # so the same bits, without a temporary per step.
     z1 += stack.b1
     np.maximum(z1, 0.0, out=z1)
-    logits = np.empty((len(x), stack.n_classes))
-    for w2t, a, b, c, d in stack.heads:
-        np.matmul(z1[:, :, a:b], w2t, out=logits[:, None, c:d])
+    logits = np.empty((n, stack.n_classes))
+    if stack.w1t is not None:
+        np.matmul(z1.transpose(1, 0, 2, 3), stack.w2t,
+                  out=logits.reshape(n, len(stack.w2t), 1, stack.width))
+    else:
+        for w2t, a, b, c, d in stack.heads:
+            np.matmul(z1[:, :, a:b], w2t, out=logits[:, None, c:d])
     logits += stack.b2
     if stack.width:  # each row's S spans of K classes: one (n * S, K) softmax
         _softmax(logits.reshape(-1, stack.width))

@@ -197,12 +197,14 @@ def vpc_plan(state: EnsembleState, strategy: StrategyConfig) -> VPCPlan:
         if not slots:
             raise ValueError("no trained classifiers available for VPC")
         records = [state.classifiers[j] for j in slots]
-        if len({rec.model.feature_dim for rec in records}) > 1:
+        try:
+            stack = ModelStack([rec.model for rec in records])
+        except ValueError:  # its one refusal, naming positions: name the slots
             raise ValueError("active slots take features of different dimensions: " + ", ".join(
-                f"slot {j}: {rec.model.feature_dim}" for j, rec in zip(slots, records)))
+                f"slot {j}: {rec.model.feature_dim}" for j, rec in zip(slots, records))) from None
         widths = [rec.model.n_classes for rec in records]
         plan = plans.setdefault(strategy, VPCPlan(
-            tuple(slots), ModelStack([rec.model for rec in records]),
+            tuple(slots), stack,
             _read_only(np.repeat(np.array(slots, dtype=np.int64), widths)),
             _read_only(np.concatenate([np.arange(k, dtype=np.int64) for k in widths])),
             _read_only(np.concatenate([rec.partition.representatives for rec in records]))))

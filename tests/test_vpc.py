@@ -144,7 +144,11 @@ def test_predict_is_batch_invariant_at_default_blas_threads():
 
 STACK_H = (5, 16, 17, 64)
 STACK_K = (1, 2, 20, 300)
-STACK_F = (8, 32, 4096)
+STACK_F = (8, 32, 4076, 4096)
+# Per F, the (H, K) of four models of one shape. At 4076 x (16, 20) two of
+# them fill BLOCK_BYTES exactly, and three are one 16-row group past it.
+SHARED = {8: (17, 1), 32: (64, 20), 4076: (16, 20), 4096: (5, 300)}
+STACK_N = (0, *GRID_N)
 
 
 def _stack_grid():
@@ -152,7 +156,9 @@ def _stack_grid():
 
     Mixed stacks pair each H of STACK_H with a K of STACK_K, so their class
     spans differ; uniform ones give every H 20 classes, the case softmaxed
-    as one (n * S, K) view. Some stacks hold one model twice."""
+    as one (n * S, K) view; shared ones give every model SHARED[F], the
+    stacked layout while their weights fit in BLOCK_BYTES. Some stacks hold
+    one model twice."""
     for f_dim in STACK_F:
         rng = np.random.default_rng(f_dim)
 
@@ -163,22 +169,26 @@ def _stack_grid():
             return m
         mixed = [model(h, k) for h, k in zip(STACK_H, STACK_K)]
         uniform = [model(h, 20) for h in STACK_H]
+        shared = [model(*SHARED[f_dim]) for _ in range(4)]
         stacks = [mixed[:1], mixed[3:], mixed[:2], mixed[1:], mixed, mixed[::-1],
                   [mixed[2], mixed[0], mixed[2]], [mixed[3], mixed[3]],
-                  uniform[:1], uniform[2:], uniform, [uniform[1], uniform[3], uniform[1]]]
+                  uniform[:1], uniform[2:], uniform, [uniform[1], uniform[3], uniform[1]],
+                  shared[:1], shared[:2], shared[:3], shared, [shared[2], shared[0], shared[2]]]
         yield stacks, rng.normal(size=(max(GRID_N), f_dim))
 
 
 def check_stack_matches_per_model_oracle():
     """A stack's probability rows equal each model's per-row oracle
     probabilities side by side, bit for bit, on every grid stack and batch
-    size. The same BLAS condition as check_predict_matches_oracle."""
+    size, in either layout. The same BLAS condition as
+    check_predict_matches_oracle."""
     for stacks, x in _stack_grid():
         for models in stacks:
             want = np.hstack([[predict_one(m, row) for row in x] for m in models])
             stack = ModelStack(models)
-            for n in GRID_N:
+            for n in STACK_N:
                 got = predict(stack, x[:n])
+                assert got.shape == (n, stack.n_classes)
                 assert np.array_equal(got, want[:n]), (
                     [(m.feature_dim, m.hidden, m.n_classes) for m in models], n)
 
@@ -191,7 +201,47 @@ def test_stack_matches_per_model_oracle_at_one_blas_thread():
                for m in models)
     widths = {ModelStack(models).width for models in stacks}
     assert None in widths and 20 in widths
+    # both layouts, the stacked one at S 1-4
+    stacked = {len(models) for models in stacks if ModelStack(models).w1t is not None}
+    assert stacked == {1, 2, 3, 4}
+    assert any(ModelStack(models).w1t is None for models in stacks)
     run_at_one_blas_thread(check_stack_matches_per_model_oracle)
+
+
+def _stack_of(models):
+    """The VPC plan's stack of a state whose slots hold `models`, all active."""
+    rng = np.random.default_rng(len(models))
+    s = len(models)
+    state = EnsembleState(mission=s, capacity=s, classifiers=tuple(
+        ClassifierRecord(RetrainHistory(tuple(int(i == j) for i in range(s))),
+                         _partition(rng, m.n_classes), m) for j, m in enumerate(models)))
+    return vpc_plan(state, StrategyConfig("ST1")).stack
+
+
+def test_stack_layout_is_chosen_by_shape():
+    # accept-sweep's final ensemble: one copy of its weights, within BLOCK_BYTES
+    accept = [init_model(32, 64, 20, seed=s) for s in range(4)]
+    stack = _stack_of(accept)
+    assert stack.w1t.shape == (4, 1, 32, 64) and stack.w2t.shape == (4, 64, 20)
+    assert stack.w1t.nbytes + stack.w2t.nbytes <= BLOCK_BYTES
+    one = _stack_of(accept[:1])
+    assert np.shares_memory(one.w1t, accept[0].w1) and np.shares_memory(one.w2t, accept[0].w2)
+    # at 4076 x (16, 20) two slots fill BLOCK_BYTES; three are one row group past it
+    shared = [init_model(4076, 16, 20, seed=s) for s in range(3)]
+    assert _stack_of(shared[:2]).w1t is not None and _stack_of(shared).w1t is None
+    # w1s within BLOCK_BYTES, but not with the w2s: copying them would pass it
+    assert _stack_of([init_model(8, 64, 1000, seed=s) for s in range(4)]).w1t is None
+    # desk-4096-loc's: spans holding views of every w1 and w2, no weight copy
+    desk = [init_model(4096, 64, 100, seed=s) for s in range(4)]
+    for models in (desk, desk[:1]):
+        stack = _stack_of(models)
+        assert stack.w1t is None and stack.width == 100
+        weights = [w for m in models for w in (m.w1, m.w2)]
+        assert all(any(np.shares_memory(view, w) for w in weights)
+                   for view, *_ in stack.body + stack.heads)
+    # mixed class counts, as `run --upd incremental` leaves them: spans
+    mixed = _stack_of([init_model(32, 64, k, seed=k) for k in (91, 90, 95, 87)])
+    assert mixed.w1t is None and mixed.width is None
 
 
 def _wide_state(f_dim, seed):
@@ -238,6 +288,8 @@ def test_slots_of_different_feature_dimensions_are_refused_at_plan_build():
         ClassifierRecord(RetrainHistory(bits), _partition(rng, 4), init_model(f, 6, 4, seed=f))
         for f, bits in ((16, (1, 0)), (15, (0, 1)))))
     cfg = MissionConfig(strategy=StrategyConfig("ST1"))
+    with pytest.raises(ValueError, match="model 0: 16, model 1: 15"):
+        ModelStack([rec.model for rec in state.classifiers])
     with pytest.raises(ValueError, match="slot 0: 16, slot 1: 15"):
         vpc_plan(state, cfg.strategy)
     for f_dim in (16, 15):

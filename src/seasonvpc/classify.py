@@ -120,21 +120,9 @@ def model_from_flat(values: np.ndarray, f_dim: int, hidden: int, n_classes: int,
                     final_loss: float | None = None, seed: int | None = None) -> ModelParams:
     """A model whose w1, b1, w2 and b2 are stored back to back in the 1-D
     `values` (e.g. a view of a state file), copied into one aligned block."""
-    _, views = _block(f_dim, hidden, n_classes)
-    pos = 0
-    for view in views:
-        view.reshape(-1)[:] = values[pos:pos + view.size]
-        pos += view.size
-    return ModelParams(*views, final_loss=final_loss, seed=seed)
-
-
-def _init_from_rng(f_dim: int, hidden: int, n_classes: int, rng: np.random.Generator,
-                   weight_scale: float, seed: int | None = None
-                   ) -> tuple[np.ndarray, ModelParams]:
-    return _in_block(rng.uniform(-weight_scale, weight_scale, size=(hidden, f_dim)),
-                     np.zeros(hidden),
-                     rng.uniform(-weight_scale, weight_scale, size=(n_classes, hidden)),
-                     np.zeros(n_classes), seed=seed)
+    w1, b1, w2, b2 = np.split(values, np.cumsum([hidden * f_dim, hidden, n_classes * hidden]))
+    return _in_block(w1.reshape(hidden, f_dim), b1, w2.reshape(n_classes, hidden), b2,
+                     final_loss=final_loss, seed=seed)[1]
 
 
 def init_model(f_dim: int, hidden: int, n_classes: int, seed: int = 0,
@@ -142,8 +130,11 @@ def init_model(f_dim: int, hidden: int, n_classes: int, seed: int = 0,
     """Seeded uniform init in [-weight_scale, weight_scale]; zero biases."""
     if min(f_dim, hidden, n_classes) < 1:
         raise ValueError("all dimensions must be >= 1")
-    return _init_from_rng(f_dim, hidden, n_classes, np.random.default_rng(seed),
-                          weight_scale, seed=seed)[1]
+    rng = np.random.default_rng(seed)
+    return _in_block(rng.uniform(-weight_scale, weight_scale, size=(hidden, f_dim)),
+                     np.zeros(hidden),
+                     rng.uniform(-weight_scale, weight_scale, size=(n_classes, hidden)),
+                     np.zeros(n_classes), seed=seed)[1]
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -394,6 +385,23 @@ def _check_labels(y: np.ndarray, n_classes: int) -> None:
         raise ValueError(f"classes without examples: {sorted(missing)}")
 
 
+def _fit(warm: ModelParams | None, features: np.ndarray, labels: np.ndarray,
+         n_classes: int, cfg: TrainConfig) -> ModelParams:
+    """train and fine_tune: a fresh head on warm's body, or on a fresh body
+    when warm is None, drawn before the head from the one cfg.seed stream."""
+    x, y = _check_batch(features, labels)
+    if warm is not None and x.shape[1] != warm.feature_dim:
+        raise ValueError(f"feature dimension {x.shape[1]} != model input {warm.feature_dim}")
+    _check_labels(y, n_classes)
+    rng = np.random.default_rng(cfg.seed)
+    scale = cfg.weight_scale
+    w1, b1 = ((rng.uniform(-scale, scale, size=(cfg.hidden, x.shape[1])), np.zeros(cfg.hidden))
+              if warm is None else (warm.w1, warm.b1))
+    params, m = _in_block(w1, b1, rng.uniform(-scale, scale, size=(n_classes, len(w1))),
+                          np.zeros(n_classes))
+    return _sgd(params, m, x, y, cfg, rng)
+
+
 def train(features: np.ndarray, labels: np.ndarray, n_classes: int,
           cfg: TrainConfig) -> ModelParams:
     """Train a fresh model with seeded init and seeded minibatch shuffling.
@@ -401,24 +409,11 @@ def train(features: np.ndarray, labels: np.ndarray, n_classes: int,
     features: (n, F), labels: (n,). Every class in [0, n_classes) must have
     at least one example.
     """
-    x, y = _check_batch(features, labels)
-    _check_labels(y, n_classes)
-    rng = np.random.default_rng(cfg.seed)
-    params, m = _init_from_rng(x.shape[1], cfg.hidden, n_classes, rng, cfg.weight_scale)
-    return _sgd(params, m, x, y, cfg, rng)
+    return _fit(None, features, labels, n_classes, cfg)
 
 
 def fine_tune(m: ModelParams, features: np.ndarray, labels: np.ndarray,
               n_classes: int, cfg: TrainConfig) -> ModelParams:
     """Warm-started retraining: keep the body, replace the softmax head with
     a fresh one sized to the new class count, then train as usual."""
-    x, y = _check_batch(features, labels)
-    if x.shape[1] != m.feature_dim:
-        raise ValueError(f"feature dimension {x.shape[1]} != model input {m.feature_dim}")
-    _check_labels(y, n_classes)
-    rng = np.random.default_rng(cfg.seed)
-    params, warm = _in_block(
-        m.w1, m.b1,
-        rng.uniform(-cfg.weight_scale, cfg.weight_scale, size=(n_classes, m.hidden)),
-        np.zeros(n_classes))
-    return _sgd(params, warm, x, y, cfg, rng)
+    return _fit(m, features, labels, n_classes, cfg)

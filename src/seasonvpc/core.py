@@ -2,7 +2,8 @@
 
 Geometry is planar (x, y, heading); headings live in (-pi, pi]. A season is
 columnar: one array each for timestamps, poses and features, row i being
-image i. A place class holds the row indices of its members. All types are
+image i. A place partition is one label column, row i holding image i's
+class id; each class's member rows are derived from it. All types are
 immutable after construction (season arrays are read-only) and safe to share
 across concurrent readers.
 """
@@ -219,33 +220,39 @@ def ones_count(history: RetrainHistory) -> int:
 
 @dataclass(frozen=True, eq=False)
 class PlaceClass:
-    """A place class: the ascending row indices of its member images. The
-    first member is the keyframe."""
+    """A place class as `PlacePartition.classes` derives it: the ascending,
+    read-only row indices of its member images. The first member is the
+    keyframe."""
 
     class_id: int
     members: np.ndarray
 
-    def __post_init__(self) -> None:
-        members = np.array(self.members, dtype=np.int64)
-        if members.ndim != 1 or len(members) == 0:
-            raise ValueError("place class needs at least one member")
-        if np.any(np.diff(members) <= 0):
-            raise ValueError("place class members must be ascending")
-        object.__setattr__(self, "members", _read_only(members))
-
 
 @dataclass(frozen=True, eq=False)
 class PlacePartition:
-    """Assignment of one season's images to place classes (ids dense 0..K-1)."""
+    """One season's images assigned to place classes: labels (N,) int64,
+    read-only, holds image i's class id. The ids are dense 0..K-1, so every
+    image is in exactly one class and every class has a member."""
 
-    classes: tuple[PlaceClass, ...]
+    labels: np.ndarray
     source_season: int
     method: str
 
     def __post_init__(self) -> None:
-        for idx, cls in enumerate(self.classes):
-            if cls.class_id != idx:
-                raise ValueError("class ids must be dense 0..K-1 in order")
+        labels = np.array(self.labels, dtype=np.int64)
+        if labels.ndim != 1 or labels.size == 0:
+            raise ValueError(f"labels must be a non-empty (N,) array, got shape {labels.shape}")
+        if labels.min() < 0 or not np.bincount(labels).all():
+            raise ValueError("class ids must be dense 0..K-1")
+        object.__setattr__(self, "labels", _read_only(labels))
+
+    @property
+    def classes(self) -> tuple[PlaceClass, ...]:
+        """The classes in id order, derived from the labels on each read."""
+        order = _read_only(np.argsort(self.labels, kind="stable"))  # so its slices are too
+        ends = np.cumsum(np.bincount(self.labels)).tolist()
+        return tuple(PlaceClass(cid, order[start:end])
+                     for cid, (start, end) in enumerate(zip([0, *ends], ends)))
 
     def summary(self, train: TrainingSet) -> "PartitionSummary":
         """Per class: the keyframe's id, timestamp and pose, the member count,
@@ -253,21 +260,22 @@ class PlacePartition:
         if train.season_id != self.source_season:
             raise ValueError(f"partition of season {self.source_season} "
                              f"summarized with season {train.season_id}")
+        classes = self.classes
         representatives = []
-        for c in self.classes:
+        for c in classes:
             xs, ys, thetas = train.poses[c.members].T.tolist()
             # The heading the state files hold: atan2(sum of sines, 0), so
             # +-pi/2 or 0, not the circular mean atan2(sum of sines, sum of
             # cosines); changing it changes their bytes.
             heading = normalize_angle(math.atan2(sum(math.sin(t) for t in thetas), 0))
             representatives.append((sum(xs) / len(xs), sum(ys) / len(ys), heading))
-        keyframes = [int(c.members[0]) for c in self.classes]
+        keyframes = [int(c.members[0]) for c in classes]
         return PartitionSummary(
             keyframe_ids=keyframes,
             keyframe_timestamps=train.timestamps[keyframes],
             keyframe_poses=train.poses[keyframes],
             representatives=representatives,
-            sizes=[len(c.members) for c in self.classes],
+            sizes=[len(c.members) for c in classes],
             source_season=self.source_season,
             method=self.method,
         )
@@ -289,7 +297,7 @@ class PartitionSummary:
     sizes (K,) uint32 (`CLASS_RECORD`). The arrays are read-only copies of
     the inputs, and every pose is finite with a heading in (-pi, pi].
 
-    A PlacePartition holds member row indices into its season, and both exist
+    A PlacePartition holds a class label per row of its season, and both exist
     only while that season is being processed; only this summary, built by
     `PlacePartition.summary(season)`, survives into the persistent ensemble
     state.
@@ -331,21 +339,12 @@ class PartitionSummary:
 
 
 def membership_labels(partition: PlacePartition, n_images: int) -> np.ndarray:
-    """Per-image class label array; raises if any image is missing or doubly
-    assigned."""
-    members = [c.members for c in partition.classes]
-    ids = np.concatenate(members) if members else np.zeros(0, dtype=np.int64)
-    outside = (ids < 0) | (ids >= n_images)
-    if outside.any():
-        raise ValueError(f"member id {ids[outside][0]} outside dataset of {n_images}")
-    counts = np.bincount(ids, minlength=n_images)
-    if np.any(counts > 1):
-        raise ValueError(f"image {int(np.argmax(counts > 1))} assigned to more than one class")
-    if np.any(counts == 0):
-        raise ValueError(f"image {int(np.argmax(counts == 0))} not assigned to any class")
-    labels = np.empty(n_images, dtype=np.int64)
-    labels[ids] = np.repeat(np.arange(len(members)), [len(m) for m in members])
-    return labels
+    """The partition's per-image class labels, read-only; raises if the
+    partition is not of n_images images."""
+    if len(partition.labels) != n_images:
+        raise ValueError(f"partition of {len(partition.labels)} images "
+                         f"for a season of {n_images}")
+    return partition.labels
 
 
 @dataclass(frozen=True, eq=False)

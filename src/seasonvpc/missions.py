@@ -118,7 +118,7 @@ def run_adaptation(state: EnsembleState, d: TrainingSet, cfg: MissionConfig) -> 
     features = d.features.astype(np.float64)
     labels = membership_labels(partition, len(d))
     summary = partition.summary(d)
-    n_classes = len(partition.classes)
+    n_classes = len(summary.sizes)
     singletons = np.count_nonzero(summary.sizes == 1)
     if singletons > SINGLETON_WARN_FRACTION * n_classes:
         # Imported only when there is something to log: the import costs

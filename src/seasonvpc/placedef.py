@@ -9,8 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (PlaceClass, PlacePartition, TrainingSet, angle_difference,
-                   require_integers, require_reals, step_lengths)
+from .core import (PlacePartition, TrainingSet, angle_difference, require_integers,
+                   require_reals, step_lengths)
 
 PARTITION_METHODS = ("location", "location-appearance", "incremental")
 
@@ -156,9 +156,11 @@ def _split_by_travel(steps: list[float], member_ids, t_d: float) -> list[list[in
 
 
 def _partition(train: TrainingSet, groups: list[list[int]], method: str) -> PlacePartition:
-    """The partition of `train` whose class i holds the ascending ids `groups[i]`."""
-    classes = tuple(PlaceClass(cid, g) for cid, g in enumerate(groups))
-    return PlacePartition(classes=classes, source_season=train.season_id, method=method)
+    """The partition of `train` whose class i holds the ids `groups[i]`."""
+    labels = np.full(len(train), -1, dtype=np.int64)  # an image in no group is refused
+    for cid, g in enumerate(groups):
+        labels[g] = cid
+    return PlacePartition(labels, train.season_id, method)
 
 
 def partition_location_appearance(train: TrainingSet, cfg: PartitionConfig) -> PlacePartition:
@@ -185,13 +187,13 @@ def partition_incremental(train: TrainingSet, cfg: PartitionConfig) -> PlacePart
     thresholds; otherwise it founds a new class and becomes its keyframe.
     """
     feats = [l2_normalize(f) for f in train.features]
-    member_groups: list[list[int]] = []
+    labels: list[int] = []
     kf_xy: list[tuple[float, float]] = []
     kf_theta: list[float] = []
     kf_feat: list[np.ndarray] = []
     for idx, (x, y, theta) in enumerate(train.poses.tolist()):
         target = -1
-        if member_groups:
+        if kf_xy:
             dists = [math.hypot(x - kx, y - ky) for kx, ky in kf_xy]
             nearest = int(np.argmin(dists))
             if (
@@ -200,14 +202,13 @@ def partition_incremental(train: TrainingSet, cfg: PartitionConfig) -> PlacePart
                 and float(np.linalg.norm(feats[idx] - kf_feat[nearest])) < cfg.feat_max
             ):
                 target = nearest
-        if target >= 0:
-            member_groups[target].append(idx)
-        else:
-            member_groups.append([idx])
+        if target < 0:
+            target = len(kf_xy)
             kf_xy.append((x, y))
             kf_theta.append(theta)
             kf_feat.append(feats[idx])
-    return _partition(train, member_groups, "incremental")
+        labels.append(target)
+    return PlacePartition(labels, train.season_id, "incremental")
 
 
 def incremental_margins(train: TrainingSet, partition: PlacePartition) -> list[dict]:

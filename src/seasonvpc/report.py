@@ -44,6 +44,16 @@ def schedule_text(schedule: Schedule) -> str:
     return "\n".join(lines)
 
 
+def _svg_frame(width: int, height: int, font_size: int | None = None) -> list[str]:
+    """The opening lines of a white width x height SVG: the tag with its
+    viewBox, a monospace text style when font_size is given, the background."""
+    style = ([f'<style>text{{font-family:monospace;font-size:{font_size}px}}</style>']
+             if font_size else [])
+    return [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+            f'viewBox="0 0 {width} {height}">', *style,
+            f'<rect width="{width}" height="{height}" fill="white"/>']
+
+
 def schedule_svg(schedule: Schedule, title: str = "") -> str:
     """Grid of colored boxes: rows are ensemble slots, columns are missions,
     a filled box means that slot fine-tuned on that season."""
@@ -52,12 +62,7 @@ def schedule_svg(schedule: Schedule, title: str = "") -> str:
     cell, pad, top = 36, 46, 34
     width = pad + n_cols * cell + 12
     height = top + n_rows * cell + 12
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        '<style>text{font-family:monospace;font-size:12px}</style>',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-    ]
+    parts = _svg_frame(width, height, 12)
     if title:
         parts.append(f'<text x="{pad}" y="16" font-weight="bold">{title}</text>')
     for c in range(n_cols):
@@ -98,11 +103,7 @@ def success_svg(rows: Sequence[dict], title: str = "success ratio vs mission") -
     def sy(v: float) -> float:
         return top + plot_h * (1.0 - v)
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        '<style>text{font-family:monospace;font-size:11px}</style>',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+    parts = _svg_frame(width, height, 11) + [
         f'<text x="{left}" y="16" font-weight="bold">{title}</text>',
         f'<rect x="{left}" y="{top}" width="{plot_w}" height="{plot_h}" '
         f'fill="none" stroke="#333"/>',
@@ -133,9 +134,8 @@ def success_svg(rows: Sequence[dict], title: str = "success ratio vs mission") -
 
 
 def partition_csv(partition: PlacePartition) -> str:
-    pairs = sorted((m, cls.class_id) for cls in partition.classes for m in cls.members.tolist())
     lines = ["image_id,class_id"]
-    lines.extend(f"{img_id},{class_id}" for img_id, class_id in pairs)
+    lines.extend(f"{i},{c}" for i, c in enumerate(partition.labels.tolist()))
     return "\n".join(lines) + "\n"
 
 
@@ -156,11 +156,7 @@ def partition_svg(train: TrainingSet, partition: PlacePartition,
         return size - margin - (y - y_lo) * scale  # y up
 
     labels = membership_labels(partition, len(train)).tolist()
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
-    ]
+    parts = _svg_frame(size, size)
     path_pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
     parts.append(f'<polyline points="{path_pts}" fill="none" stroke="#ddd" stroke-width="1"/>')
     for x, y, label in zip(xs, ys, labels):

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 from pathlib import Path
 
@@ -451,3 +452,22 @@ def test_every_flag_is_in_the_flag_table():
              if a.dest != "help"}
     assert dests - LOCAL_FLAGS <= set(_FLAGS)
     assert set(_FLAGS) <= dests
+
+
+# SHA-256 of each SVG report of `run` on `_spec_file`'s spec and of `placedef`
+# under UPD3 (the method with the most classes, so the most colors).
+PINNED_SVGS = {
+    "schedule.svg": "87384c4ed3cc6ebc8bb39d0738d390fca613dc5c5333a876eb9f983dc6c6232e",
+    "success.svg": "a11a1aa1255f6da7e8e2cac9a904440b63ac617384e7434daaea5d0b747e21c3",
+    "partition.svg": "dd226d1e438953cb309b718f6c0327495dacec435764a28f4d292fa6feb5e5f3",
+}
+
+
+def test_svg_reports_are_pinned(tmp_path):
+    run_out, pd_out = tmp_path / "run", tmp_path / "pd"
+    assert main(["run", "--spec", str(_spec_file(tmp_path)), "--out", str(run_out)]) == 0
+    assert main(["placedef", "--upd", "incremental", "--seed", "0", "--out", str(pd_out)]) == 0
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+           for out, name in ((run_out, "schedule.svg"), (run_out, "success.svg"),
+                             (pd_out, "partition.svg"))}
+    assert got == PINNED_SVGS

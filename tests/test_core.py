@@ -8,7 +8,6 @@ from seasonvpc import (
     ClassifierRecord,
     PartitionConfig,
     PartitionSummary,
-    PlaceClass,
     PlacePartition,
     RetrainHistory,
     TrainingSet,
@@ -182,33 +181,54 @@ def test_season_arrays_are_read_only_copies():
         part.classes[0].members[0] = 3
 
 
-def _partition(*members):
-    return PlacePartition(classes=tuple(PlaceClass(c, m) for c, m in enumerate(members)),
-                          source_season=1, method="location")
+def _partition(labels):
+    return PlacePartition(labels, source_season=1, method="location")
 
 
 def test_membership_labels_is_the_label_array():
-    assert membership_labels(_partition([0, 2], [1, 3, 4]), 5).tolist() == [0, 1, 0, 1, 1]
+    assert membership_labels(_partition([0, 1, 0, 1, 1]), 5).tolist() == [0, 1, 0, 1, 1]
 
 
 def test_membership_labels_rejects_bad_members():
-    with pytest.raises(ValueError, match="member id 5 outside dataset of 5"):
-        membership_labels(_partition([0, 1, 2], [3, 4, 5]), 5)
-    with pytest.raises(ValueError, match="member id -1 outside"):
-        membership_labels(_partition([-1, 0, 1], [2, 3, 4]), 5)
-    with pytest.raises(ValueError, match="image 2 assigned to more than one class"):
-        membership_labels(_partition([0, 1, 2], [2, 3, 4]), 5)
-    with pytest.raises(ValueError, match="image 3 not assigned to any class"):
-        membership_labels(_partition([0, 1, 2], [4]), 5)
+    # gapped and negative labels: test_labels_that_are_not_a_dense_column_are_refused
+    with pytest.raises(ValueError, match="non-empty"):
+        _partition([])
+    with pytest.raises(ValueError, match="partition of 5 images for a season of 6"):
+        membership_labels(_partition([0, 1, 0, 1, 1]), 6)
 
 
-def test_place_class_members_are_ascending_and_non_empty():
-    with pytest.raises(ValueError, match="at least one member"):
-        PlaceClass(0, [])
-    with pytest.raises(ValueError, match="ascending"):
-        PlaceClass(0, [2, 1])
-    with pytest.raises(ValueError, match="ascending"):
-        PlaceClass(0, [1, 1])
+@st.composite
+def dense_labels(draw):
+    """Labels of K classes in any order, each class used at least once."""
+    k = draw(st.integers(1, 8))
+    extra = draw(st.lists(st.integers(0, k - 1), max_size=24))
+    return draw(st.permutations(list(range(k)) + extra))
+
+
+@given(dense_labels())
+def test_classes_split_the_label_column_by_id(labels):
+    part = _partition(labels)
+    assert [c.class_id for c in part.classes] == list(range(max(labels) + 1))
+    covered = np.concatenate([c.members for c in part.classes])
+    assert sorted(covered.tolist()) == list(range(len(labels)))
+    for c in part.classes:
+        assert c.members.tolist() == [i for i, cid in enumerate(labels) if cid == c.class_id]
+        assert not c.members.flags.writeable
+    assert not part.labels.flags.writeable
+    assert membership_labels(part, len(labels)).tolist() == labels
+
+
+@given(dense_labels(), st.data())
+def test_labels_that_are_not_a_dense_column_are_refused(labels, data):
+    cut = data.draw(st.integers(0, max(labels)))
+    i = data.draw(st.integers(0, len(labels) - 1))
+    gapped = [cid + (cid >= cut) for cid in labels]  # no image in class `cut`
+    negative = labels[:i] + [data.draw(st.integers(-5, -1))] + labels[i + 1:]
+    for bad in (gapped, negative):
+        with pytest.raises(ValueError, match="class ids must be dense"):
+            _partition(bad)
+    with pytest.raises(ValueError, match="non-empty"):
+        _partition(np.array(labels).reshape(1, -1))
 
 
 def test_partition_summary_reads_keyframe_and_centroid_from_the_season(line7):

@@ -21,6 +21,7 @@ from seasonvpc import (
     run_adaptation,
     synth_generate,
 )
+from seasonvpc.placedef import PARTITION_METHODS
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -64,12 +65,14 @@ def test_perfbench_reads_the_season_shapes_it_needs(monkeypatch):
     for i in range(len(queries)):
         single = missions.run_vpc(state, [queries[i]], cfg)
         assert loop.ranking_key(single[0]) == loop.ranking_key(batch[i])
-    # spans.py counts classes and singletons from len(c.members)
-    part = build_partition(train, PartitionConfig(method="incremental"))
-    sizes = [len(c.members) for c in part.classes]
-    assert sum(sizes) == len(train)
-    assert spans._count_partition(None, part) == {"classes": len(sizes),
-                                                  "singletons": sizes.count(1)}
+    # spans.py counts classes and singletons from len(c.members), under
+    # every method the benchmark may partition by
+    for method in PARTITION_METHODS:
+        part = build_partition(train, PartitionConfig(method=method))
+        sizes = [len(c.members) for c in part.classes]
+        assert sum(sizes) == len(train)
+        assert spans._count_partition(None, part) == {"classes": len(sizes),
+                                                      "singletons": sizes.count(1)}, method
 
 
 def test_traced_training_spans_carry_their_counts(monkeypatch):

@@ -217,7 +217,7 @@ def test_every_method_is_a_partition(method):
     feats = np.column_stack([xy[:, 0] / 10.0, np.ones(50)])
     train = season_from_xy(xy, features=feats, label="p")
     p = build_partition(train, PartitionConfig(method=method, seed=3))
-    labels = membership_labels(p, len(train))  # raises on holes/overlap
+    labels = membership_labels(p, len(train))  # the partition refused gaps when built
     assert labels.shape == (50,)
     assert [c.class_id for c in p.classes] == list(range(len(p.classes)))
 

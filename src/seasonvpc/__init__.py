@@ -52,7 +52,6 @@ from .classify import (
     fine_tune,
     init_model,
     loss_and_gradient,
-    models_equal,
     predict,
     train,
 )

@@ -68,16 +68,6 @@ class ModelParams:
         return int(self.w2.shape[0])
 
 
-def models_equal(a: ModelParams, b: ModelParams) -> bool:
-    """Bitwise parameter equality."""
-    return (
-        np.array_equal(a.w1, b.w1)
-        and np.array_equal(a.b1, b.b1)
-        and np.array_equal(a.w2, b.w2)
-        and np.array_equal(a.b2, b.b2)
-    )
-
-
 # Every parameter array of a model starts on a cache-line boundary. A
 # 500 x 4096 predict (H 64, K 100; one BLAS thread, x86-64) took 19-20 ms with
 # w1 at 0 or 32 mod 64 bytes and 22-23 ms at 16 or 48, with bit-identical

@@ -17,17 +17,7 @@ from . import report
 from .classify import DivergenceError, TrainConfig
 from .core import TrainingSet, require_integers
 from .data import DataError, SynthConfig, load_bundle, load_manifest, read_json, synth_generate
-from .missions import (
-    SUCCESS_MODES,
-    MissionConfig,
-    StateFormatError,
-    initial_state,
-    queries_from_set,
-    run_adaptation,
-    run_vpc,
-    save_state,
-    success_ratio,
-)
+from .missions import SUCCESS_MODES, MissionConfig, StateFormatError, initial_state, run_season
 from .placedef import PARTITION_METHODS, PartitionConfig, build_partition, incremental_margins
 from .sched import STRATEGY_KINDS, Schedule, StrategyConfig, evolve_schedule
 
@@ -181,16 +171,13 @@ def run_experiment(spec: ExperimentSpec, out_dir: Path) -> dict:
     rows: list[dict] = []
     per_mission = []
     for i in range(1, n_missions + 1):
-        state = run_adaptation(state, seasons[i - 1], cfg)
         test_set = seasons[i] if spec.protocol == "next-season" else seasons[-1]
-        queries = queries_from_set(test_set)
-        results = run_vpc(state, queries, cfg)
-        ratios = {}
-        for err in cfg.error_thresholds:
-            ratio = success_ratio(results, queries, err, cfg.success_mode)
-            ratios[f"{err:g}"] = ratio
-            rows.append({"mission": i, "strategy": label, "upd": cfg.partition.method,
-                         "error": err, "mode": cfg.success_mode, "success_ratio": ratio})
+        state, _, by_error = run_season(state, seasons[i - 1], test_set, cfg,
+                                        out_dir / "state.svpc")
+        rows += [{"mission": i, "strategy": label, "upd": cfg.partition.method, "error": err,
+                  "mode": cfg.success_mode, "success_ratio": by_error[err]}
+                 for err in cfg.error_thresholds]
+        ratios = {f"{err:g}": ratio for err, ratio in by_error.items()}
         per_mission.append(
             {
                 "mission": i,
@@ -208,7 +195,6 @@ def run_experiment(spec: ExperimentSpec, out_dir: Path) -> dict:
     (out_dir / "schedule.svg").write_text(report.schedule_svg(schedule, title=label))
     (out_dir / "success.svg").write_text(
         report.success_svg(rows, title=f"{label} upd:{cfg.partition.method}"))
-    save_state(state, out_dir / "state.svpc")
     summary = {
         "strategy": label,
         "upd": cfg.partition.method,
@@ -277,7 +263,9 @@ report files written by `run`:
   schedule.svg   colored fine-tuning grid   (rows: slots, columns: seasons)
   success.svg    success ratio vs mission id, one curve per error threshold
   summary.json   configuration echo plus per-mission metrics
-  state.svpc     checksummed binary ensemble state (models + class metadata)
+  state.svpc     checksummed binary ensemble state (models + class metadata),
+                 rewritten after every mission: a run that fails keeps the
+                 last finished mission's state and writes no other report
 
 written by `placedef`:
   partition.csv  image_id,class_id

@@ -106,7 +106,8 @@ def _slot_seed(cfg: TrainConfig, mission: int, slot: int) -> int:
 def run_adaptation(state: EnsembleState, d: TrainingSet, cfg: MissionConfig) -> EnsembleState:
     """One adaptation mission: schedule, partition the new season once, then
     fine-tune (or freshly train, for base-derived slots) every slot whose new
-    bit is 1. The training set itself is not retained in the result."""
+    bit is 1. A mission in which no slot's new bit is 1 does not partition
+    the season. The training set itself is not retained in the result."""
     if d.season_id != state.mission + 1:
         raise ValueError(f"season {d.season_id} does not follow mission {state.mission}")
     i = state.mission + 1
@@ -114,21 +115,22 @@ def run_adaptation(state: EnsembleState, d: TrainingSet, cfg: MissionConfig) -> 
         tuple(c.history for c in state.classifiers)
     )
     decision = next_schedule(cfg.strategy, previous, i, cfg.capacity)
-    partition = build_partition(d, cfg.partition)
-    features = d.features.astype(np.float64)
-    labels = membership_labels(partition, len(d))
-    summary = partition.summary(d)
-    n_classes = len(summary.sizes)
-    singletons = np.count_nonzero(summary.sizes == 1)
-    if singletons > SINGLETON_WARN_FRACTION * n_classes:
-        # Imported only when there is something to log: the import costs
-        # ~9 ms and 0.5 MB, 5% of accept-sweep's setup_s and 1.4% of its
-        # peak_rss_mb.
-        import logging
+    if any(h.last_bit() for h in decision.schedule.histories):
+        partition = build_partition(d, cfg.partition)
+        features = d.features.astype(np.float64)
+        labels = membership_labels(partition, len(d))
+        summary = partition.summary(d)
+        n_classes = len(summary.sizes)
+        singletons = np.count_nonzero(summary.sizes == 1)
+        if singletons > SINGLETON_WARN_FRACTION * n_classes:
+            # Imported only when there is something to log: the import costs
+            # ~9 ms and 0.5 MB, 5% of accept-sweep's setup_s and 1.4% of its
+            # peak_rss_mb.
+            import logging
 
-        logging.getLogger(__name__).warning(
-            "season %d: %d of %d place classes (%s) hold a single image",
-            d.season_id, singletons, n_classes, partition.method)
+            logging.getLogger(__name__).warning(
+                "season %d: %d of %d place classes (%s) hold a single image",
+                d.season_id, singletons, n_classes, partition.method)
 
     records = []
     for slot, history in enumerate(decision.schedule.histories):
@@ -252,7 +254,23 @@ def success_ratio(results: Ranking, queries: Sequence[MappedImage],
     # the last bit on some inputs, which can move a ratio.
     dist = list(map(math.hypot, d[..., 0].ravel().tolist(), d[..., 1].ravel().tolist()))
     hits = np.count_nonzero((np.reshape(dist, d.shape[:2]) < error).any(axis=1))
-    return hits / len(results)
+    return int(hits) / len(results)
+
+
+def run_season(state: EnsembleState, train: TrainingSet, test: TrainingSet, cfg: MissionConfig,
+               state_path) -> tuple[EnsembleState, Ranking, dict[float, float]]:
+    """One season step: adapt on `train`, rank every image of `test`, score
+    the ranking at each of `cfg.error_thresholds` and save the new state to
+    `state_path`. Returns the state, the ranking and the ratios keyed by
+    threshold, in config order. Each step is looked up on this module when
+    it runs, so a wrapper installed on `seasonvpc.missions` sees it."""
+    state = run_adaptation(state, train, cfg)
+    queries = queries_from_set(test)
+    ranking = run_vpc(state, queries, cfg)
+    ratios = {err: success_ratio(ranking, queries, err, cfg.success_mode)
+              for err in cfg.error_thresholds}
+    save_state(state, state_path)
+    return state, ranking, ratios
 
 
 # --- state persistence -------------------------------------------------

@@ -25,7 +25,7 @@ def results_csv(rows: Sequence[dict]) -> str:
     for r in rows:
         lines.append(
             f"{r['mission']},{r['strategy']},{r['upd']},{r['error']:g},"
-            f"{r['mode']},{r['success_ratio']!r}"
+            f"{r['mode']},{float(r['success_ratio'])!r}"
         )
     return "\n".join(lines) + "\n"
 
@@ -171,7 +171,7 @@ def margins_csv(rows: Sequence[dict]) -> str:
     lines = ["image_id,class_id,pos_dist,ang_diff,feat_dist"]
     for r in rows:
         lines.append(
-            f"{r['image_id']},{r['class_id']},{r['pos_dist']!r},"
-            f"{r['ang_diff']!r},{r['feat_dist']!r}"
+            f"{r['image_id']},{r['class_id']},{float(r['pos_dist'])!r},"
+            f"{float(r['ang_diff'])!r},{float(r['feat_dist'])!r}"
         )
     return "\n".join(lines) + "\n"

@@ -74,10 +74,6 @@ class Schedule:
     def bit_strings(self) -> list[str]:
         return [h.as_string() for h in self.histories]
 
-    @classmethod
-    def from_strings(cls, rows: "list[str] | tuple[str, ...]") -> "Schedule":
-        return cls(tuple(RetrainHistory.from_string(r) for r in rows))
-
 
 @dataclass(frozen=True)
 class ScheduleDecision:
@@ -85,11 +81,6 @@ class ScheduleDecision:
 
     schedule: Schedule
     spawned_slot: int | None
-
-    @property
-    def retrain_mask(self) -> tuple[int, ...]:
-        """Per slot, 1 if it fine-tunes in mission i: its history's last bit."""
-        return tuple(h.last_bit() for h in self.schedule.histories)
 
 
 def weight_vector(k_bar: int, i: int) -> np.ndarray:

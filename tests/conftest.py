@@ -26,6 +26,11 @@ def run_at_one_blas_thread(check) -> None:
     assert child.returncode == 0, child.stdout + child.stderr
 
 
+def same_params(a, b) -> bool:
+    """Whether two models hold bitwise-equal parameter arrays."""
+    return all(np.array_equal(getattr(a, n), getattr(b, n)) for n in ("w1", "b1", "w2", "b2"))
+
+
 def line_training_set(n: int, spacing: float = 3.0, feature=None, season_id: int = 1):
     """Images on a straight line, `spacing` meters apart, heading +x."""
     feats = [[float(i)] if feature is None else feature(i) for i in range(n)]

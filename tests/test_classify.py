@@ -10,10 +10,11 @@ from seasonvpc import (
     fine_tune,
     init_model,
     loss_and_gradient,
-    models_equal,
     predict,
     train,
 )
+
+from conftest import same_params
 
 
 def _blobs(rng, n_classes=3, per_class=12, dim=8, sep=3.0, spread=0.8):
@@ -26,9 +27,9 @@ def _blobs(rng, n_classes=3, per_class=12, dim=8, sep=3.0, spread=0.8):
 def test_init_model_deterministic():
     a = init_model(6, 4, 3, seed=42)
     b = init_model(6, 4, 3, seed=42)
-    assert models_equal(a, b)
+    assert same_params(a, b)
     c = init_model(6, 4, 3, seed=43)
-    assert not models_equal(a, c)
+    assert not same_params(a, c)
 
 
 def test_zero_weight_scale_gives_uniform_prediction():
@@ -140,14 +141,14 @@ def test_train_zero_epochs_returns_init():
     cfg = TrainConfig(epochs=0, seed=5)
     m = train(x, y, 3, cfg)
     ref = init_model(x.shape[1], cfg.hidden, 3, seed=5, weight_scale=cfg.weight_scale)
-    assert models_equal(m, ref)
+    assert same_params(m, ref)
 
 
 def test_train_deterministic():
     rng = np.random.default_rng(2)
     x, y = _blobs(rng)
     cfg = TrainConfig(epochs=10, seed=9)
-    assert models_equal(train(x, y, 3, cfg), train(x, y, 3, cfg))
+    assert same_params(train(x, y, 3, cfg), train(x, y, 3, cfg))
 
 
 def test_train_requires_every_class():

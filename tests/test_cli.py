@@ -6,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from seasonvpc import load_state
+from seasonvpc import DivergenceError, load_state, missions, states_equal
 from seasonvpc.cli import main
+from seasonvpc.placedef import PARTITION_METHODS
 
 
 def _spec_file(tmp_path, **overrides):
@@ -317,6 +318,44 @@ def test_run_diverging_training_is_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "usage error: season 1, slot 0: training diverged" in err
     assert "train.learning_rate 1e+300" in err
+
+
+def test_run_failing_in_a_mission_keeps_the_state_before_it(tmp_path, monkeypatch, capsys):
+    spec = _spec_file(tmp_path)
+    clean = tmp_path / "clean"
+    assert main(["run", "--spec", str(spec), "--out", str(clean), "--missions", "2"]) == 0
+    adapt = missions.run_adaptation
+
+    def diverge_in_season_3(state, season, cfg):
+        if season.season_id == 3:
+            raise DivergenceError("training diverged")
+        return adapt(state, season, cfg)
+
+    monkeypatch.setattr(missions, "run_adaptation", diverge_in_season_3)
+    out = tmp_path / "out"
+    assert main(["run", "--spec", str(spec), "--out", str(out), "--missions", "4"]) == 1
+    assert "usage error: training diverged" in capsys.readouterr().err
+    state = load_state(out / "state.svpc")
+    assert state.mission == 2
+    assert states_equal(state, load_state(clean / "state.svpc"))
+    assert sorted(p.name for p in out.iterdir()) == ["state.svpc"]
+
+
+@pytest.mark.parametrize("mode", ["rank1", "topx"])
+@pytest.mark.parametrize("upd", PARTITION_METHODS)
+def test_results_csv_success_ratios_are_plain_numbers(tmp_path, monkeypatch, upd, mode):
+    ratios = []
+    score = missions.success_ratio
+    monkeypatch.setattr(missions, "success_ratio",
+                        lambda *args: ratios.append(score(*args)) or ratios[-1])
+    spec = _spec_file(tmp_path, missions=2)
+    out = tmp_path / "out"
+    assert main(["run", "--spec", str(spec), "--out", str(out), "--upd", upd,
+                 "--mode", mode]) == 0
+    rows = (out / "results.csv").read_text().splitlines()[1:]
+    assert len(rows) == len(ratios) == 2 * 2
+    assert [float(row.split(",")[-1]) for row in rows] == ratios
+    assert all(type(r) is float for r in ratios)
 
 
 def _main_on_spec(tmp_path, argv, edit=None):

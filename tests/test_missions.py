@@ -3,22 +3,33 @@ import hashlib
 import io
 import logging
 import math
+import os
+import signal
+import subprocess
+import sys
+import time
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from seasonvpc import (
+    ClassifierRecord,
+    EnsembleState,
     MappedImage,
     MissionConfig,
     PartitionConfig,
+    PartitionSummary,
     Ranking,
+    RetrainHistory,
     StrategyConfig,
     SynthConfig,
     TrainConfig,
     Viewpoint,
+    init_model,
     initial_state,
     load_state,
-    models_equal,
     ones_count,
     queries_from_set,
     run_adaptation,
@@ -31,6 +42,8 @@ from seasonvpc import (
 )
 from seasonvpc import missions
 from seasonvpc.missions import SINGLETON_WARN_FRACTION, StateFormatError
+
+from conftest import same_params
 
 
 def _synth(n_seasons=5, seed=0, **kw):
@@ -98,8 +111,30 @@ def test_idle_slots_keep_model_bit_identical():
     s2 = run_adaptation(s1, seasons[1], cfg)
     # slot 0 sat out mission 2: history 10, same model object content
     assert s2.classifiers[0].history.as_string() == "10"
-    assert models_equal(s2.classifiers[0].model, s1.classifiers[0].model)
+    assert same_params(s2.classifiers[0].model, s1.classifiers[0].model)
     assert s2.classifiers[0].partition == s1.classifiers[0].partition
+
+
+# SHA-256 of the state below, taken before a mission that retrains no slot
+# stopped partitioning its season.
+FROZEN_SHA256 = "a0291fb9dcaf894944ee9991414e6cf8a7f522959257073f13bca116fecc5137"
+
+
+def test_a_mission_that_retrains_no_slot_partitions_nothing(tmp_path, monkeypatch):
+    # ST2 n_bar=1 at capacity 1 trains its one slot in mission 1, then never
+    calls = []
+    build = missions.build_partition
+    monkeypatch.setattr(missions, "build_partition",
+                        lambda *args: calls.append(args) or build(*args))
+    seasons = _synth(5)
+    cfg = _mc(StrategyConfig("ST2", n_bar=1), capacity=1, epochs=6)
+    state = initial_state(1)
+    for season in seasons[:4]:
+        state = run_adaptation(state, season, cfg)
+    assert [c.history.as_string() for c in state.classifiers] == ["1000"]
+    assert len(calls) == 1
+    save_state(state, tmp_path / "state.svpc")
+    assert hashlib.sha256((tmp_path / "state.svpc").read_bytes()).hexdigest() == FROZEN_SHA256
 
 
 def test_oplus_chain_history_bookkeeping():
@@ -261,6 +296,29 @@ def test_success_ratio_equals_per_candidate_reference_at_the_threshold():
     assert moved >= 100  # the thresholds did split candidates
 
 
+def test_run_season_saves_every_season_it_runs(tmp_path):
+    seasons = _synth(5)
+    cfg = replace(_mc(StrategyConfig("ST2", n_bar=1), epochs=6), error_thresholds=(20.0, 10.0))
+    path = tmp_path / "state.svpc"
+    state = initial_state(4)
+    for i in range(1, 5):
+        before = state
+        state, ranking, ratios = missions.run_season(state, seasons[i - 1], seasons[i], cfg, path)
+        assert state.mission == i
+        loaded = load_state(path)
+        assert loaded.mission == i and states_equal(loaded, state)
+        # the same step, taken by hand
+        adapted = run_adaptation(before, seasons[i - 1], cfg)
+        queries = queries_from_set(seasons[i])
+        assert states_equal(adapted, state)
+        assert ranking == run_vpc(adapted, queries, cfg)
+        assert list(ratios) == [20.0, 10.0]
+        for err, ratio in ratios.items():
+            assert type(ratio) is float
+            assert ratio == success_ratio(ranking, queries, err)
+    assert [p.name for p in tmp_path.iterdir()] == ["state.svpc"]
+
+
 def test_adaptation_warns_once_when_most_classes_are_singletons(caplog):
     season = synth_generate(SynthConfig())[0]
     cfg = MissionConfig(strategy=StrategyConfig("ST1"), capacity=1,
@@ -297,7 +355,7 @@ def test_state_roundtrip_bitwise(tmp_path):
     assert states_equal(state, loaded)
     for a, b in zip(state.classifiers, loaded.classifiers):
         assert a.history == b.history
-        assert models_equal(a.model, b.model)
+        assert same_params(a.model, b.model)
         assert a.model.final_loss == b.model.final_loss
         assert a.model.seed == b.model.seed
         assert a.partition == b.partition
@@ -381,6 +439,61 @@ def test_save_state_failing_write_keeps_previous_state(tmp_path, monkeypatch):
     assert path.read_bytes() == before
     assert states_equal(load_state(path), previous)
     assert [p.name for p in tmp_path.iterdir()] == ["state.svpc"]
+
+
+def desk_state(seed: int) -> EnsembleState:
+    """A mission-4 state of desk size: four slots of 4096 features, 64
+    hidden units and 100 classes, about 8.6 MB on disk."""
+    k = 100
+    summary = PartitionSummary(
+        keyframe_ids=np.arange(k), keyframe_timestamps=np.arange(k) * 1_000_000,
+        keyframe_poses=np.zeros((k, 3)), representatives=np.ones((k, 3)),
+        sizes=np.full(k, 5), source_season=1, method="location")
+    return EnsembleState(mission=4, capacity=4, classifiers=tuple(
+        ClassifierRecord(RetrainHistory.from_string(bits), summary,
+                         init_model(4096, 64, k, seed=10 * seed + slot))
+        for slot, bits in enumerate(("1000", "0100", "0010", "0001"))))
+
+
+# Saves desk_state(0) and desk_state(1) in turn to argv[1] until killed,
+# after printing one line once the first save is done.
+_SAVE_FOREVER = """
+import sys
+from seasonvpc import save_state
+from test_missions import desk_state
+states = [desk_state(0), desk_state(1)]
+save_state(states[0], sys.argv[1])
+print("saved", flush=True)
+i = 1
+while True:
+    save_state(states[i % 2], sys.argv[1])
+    i += 1
+"""
+
+
+def test_state_file_survives_a_kill_during_save(tmp_path):
+    # A process killed in save_state leaves the path holding one whole state:
+    # the one it held before, or the one being written. It may also leave
+    # its temporary file (.state.svpc.<pid>.tmp) beside it; save_state
+    # cleans that up only when it sees the failure.
+    path = tmp_path / "state.svpc"
+    states = [desk_state(0), desk_state(1)]
+    tests = Path(__file__).resolve().parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH")]))}
+    for delay in (0.0, 0.003, 0.007, 0.012, 0.018, 0.025, 0.033, 0.047):
+        child = subprocess.Popen([sys.executable, "-c", _SAVE_FOREVER, str(path)], env=env,
+                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        try:
+            assert child.stdout.readline() == "saved\n", child.stderr.read()
+            time.sleep(delay)
+        finally:
+            child.send_signal(signal.SIGKILL)
+            child.wait(timeout=60)
+            child.stdout.close()
+            child.stderr.close()
+        loaded = load_state(path)
+        assert any(states_equal(loaded, state) for state in states), delay
 
 
 def test_capacity_bounded_so_slot_seeds_stay_distinct():

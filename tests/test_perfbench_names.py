@@ -142,3 +142,28 @@ def test_every_run_vpc_calls_the_traced_names(monkeypatch):
         assert stack.feature_dim == 5
         assert stack.hidden == sum(m.hidden for m in models)
         assert stack.n_classes == sum(m.n_classes for m in models)
+
+
+def test_run_season_calls_the_season_step_by_its_traced_names(monkeypatch, tmp_path):
+    # A benchmark that drives run_season patches the step's functions on
+    # seasonvpc.missions; run_season must look each one up there.
+    train, test = synth_generate(SynthConfig(n_places=4, loop_length=80.0, images_per_place=2,
+                                             feature_dim=5, n_seasons=2, seed=1))
+    cfg = MissionConfig(strategy=StrategyConfig("ST1"), capacity=1,
+                        train=TrainConfig(epochs=2, hidden=4), error_thresholds=(10.0, 20.0, 30.0))
+    calls = dict.fromkeys(("run_adaptation", "queries_from_set", "run_vpc", "success_ratio",
+                           "save_state"), 0)
+
+    def counted(name):
+        fn = getattr(missions, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(missions, name, counted(name))
+    missions.run_season(initial_state(1), train, test, cfg, tmp_path / "state.svpc")
+    assert calls == {"run_adaptation": 1, "queries_from_set": 1, "run_vpc": 1,
+                     "success_ratio": 3, "save_state": 1}

@@ -18,6 +18,11 @@ from seasonvpc.sched import slot_score
 
 from sched_oracle import feasible_extensions, next_schedule_bruteforce
 
+
+def _schedule(*rows: str) -> Schedule:
+    """The schedule whose slots have the bit strings `rows`."""
+    return Schedule(tuple(map(RetrainHistory.from_string, rows)))
+
 ST1 = StrategyConfig("ST1")
 
 
@@ -51,17 +56,17 @@ def test_weight_vector_examples():
 
 
 def test_score_hand_evaluations():
-    s = Schedule.from_strings(["11", "01"])
+    s = _schedule("11", "01")
     assert score(ST1, s, 2) == pytest.approx((1 + 2 / 3) + (1 + 1 / 3))
-    s2 = Schedule.from_strings(["10", "01"])
+    s2 = _schedule("10", "01")
     assert score(ST2(1), s2, 2) == pytest.approx(2 / 3)
-    s3 = Schedule.from_strings(["1000"])
+    s3 = _schedule("1000")
     assert score(ST3(1), s3, 4) == pytest.approx(1.0)
 
 
 def test_score_length_mismatch():
     with pytest.raises(ValueError):
-        score(ST1, Schedule.from_strings(["10"]), 3)
+        score(ST1, _schedule("10"), 3)
 
 
 def test_score_decomposes_per_slot():
@@ -83,12 +88,12 @@ def test_feasible_extensions_examples():
     exts = feasible_extensions(Schedule(()), capacity=4)
     assert sorted(tuple(s.bit_strings()) for s in exts) == [("0",), ("1",)]
     # one existing slot, room to spawn: four combinations
-    exts = feasible_extensions(Schedule.from_strings(["1"]), capacity=4)
+    exts = feasible_extensions(_schedule("1"), capacity=4)
     assert sorted(tuple(s.bit_strings()) for s in exts) == [
         ("10", "00"), ("10", "01"), ("11", "00"), ("11", "01"),
     ]
     # saturated: only the existing slot extends
-    exts = feasible_extensions(Schedule.from_strings(["1"]), capacity=1)
+    exts = feasible_extensions(_schedule("1"), capacity=1)
     assert sorted(tuple(s.bit_strings()) for s in exts) == [("10",), ("11",)]
 
 
@@ -107,7 +112,7 @@ def test_next_schedule_other_parameter_patterns():
 def test_bruteforce_mission_one_cases():
     d = next_schedule_bruteforce(ST1, Schedule(()), 1, 4)
     assert d.schedule.bit_strings() == ["1"]
-    assert d.spawned_slot == 0 and d.retrain_mask == (1,)
+    assert d.spawned_slot == 0 and d.schedule.histories[0].last_bit() == 1
     d = next_schedule_bruteforce(ST2(0), Schedule(()), 1, 4)
     assert d.schedule.bit_strings() == ["0"]
 
@@ -119,7 +124,7 @@ def test_bruteforce_enumeration_bound():
 
 def test_mission_index_must_extend_previous():
     with pytest.raises(ValueError):
-        next_schedule(ST1, Schedule.from_strings(["10"]), 4, 4)
+        next_schedule(ST1, _schedule("10"), 4, 4)
 
 
 def _sweep_strategies(i):
@@ -161,7 +166,7 @@ def test_st1_always_retrains_every_slot():
     prev = Schedule(())
     for i in range(1, 7):
         decision = next_schedule(ST1, prev, i, 3)
-        assert all(b == 1 for b in decision.retrain_mask)
+        assert all(h.last_bit() == 1 for h in decision.schedule.histories)
         prev = decision.schedule
 
 
@@ -172,13 +177,13 @@ def test_st2_nbar1_single_fine_tune_per_slot():
 
 
 def test_st3_fusion_filter_examples():
-    diag = Schedule.from_strings(["1000", "0100", "0010", "0001"])
+    diag = _schedule("1000", "0100", "0010", "0001")
     assert st3_fusion_filter(diag, 1) == (0,)
     assert st3_fusion_filter(diag, 3) == (2,)
-    none_single = Schedule.from_strings(["1100", "0011"])
+    none_single = _schedule("1100", "0011")
     assert st3_fusion_filter(none_single, 1) == ()
 
 
 def test_st3_fusion_filter_k_beyond_mission_clamps_to_newest():
-    two = Schedule.from_strings(["10", "01"])
+    two = _schedule("10", "01")
     assert st3_fusion_filter(two, 4) == (1,)

@@ -15,7 +15,6 @@ from seasonvpc import (
     initial_state,
     load_state,
     loss_and_gradient,
-    models_equal,
     predict,
     run_adaptation,
     save_state,
@@ -25,6 +24,7 @@ from seasonvpc import (
 from seasonvpc.classify import ALIGN
 
 import sgd_oracle
+from conftest import same_params
 
 
 def _labels(rng, n, k):
@@ -35,7 +35,7 @@ def _labels(rng, n, k):
 
 
 def _assert_same(model, reference):
-    assert models_equal(model, reference)
+    assert same_params(model, reference)
     assert model.final_loss == reference.final_loss
     assert model.seed == reference.seed
 
@@ -131,7 +131,7 @@ def test_every_model_is_aligned(tmp_path):
         save_state(state, tmp_path / "state.svpc")
         loaded = load_state(tmp_path / "state.svpc").classifiers[0].model
         _assert_aligned(loaded)
-        assert models_equal(loaded, model)
+        assert same_params(loaded, model)
     _assert_aligned(init_model(9, 5, 4))
 
 

@@ -7,7 +7,6 @@ replaced whenever the class set changes.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -161,14 +160,12 @@ BLOCK_BYTES = 1 << 20
 _ROW_GROUP = 16
 
 
-@functools.lru_cache(maxsize=16)
 def _row_blocks(hidden: int, f_dim: int) -> tuple[tuple[int, int], ...]:
     """(start, stop) of each first-layer row block of a (hidden, f_dim) w1.
 
     Rows left over after the last whole block join it: split off, they run
     a narrower GEMV whose sums differ in the last bits (seen at H 17, F 8192).
-    The bounds depend on the shape alone, never on the batch; cached, since
-    a single query's predict is short enough for their arithmetic to show."""
+    The bounds depend on the shape alone, never on the batch."""
     rows = max(_ROW_GROUP, BLOCK_BYTES // (8 * f_dim) // _ROW_GROUP * _ROW_GROUP)
     starts = range(0, max(1, hidden // rows) * rows, rows)
     return tuple(zip(starts, [*starts[1:], hidden]))

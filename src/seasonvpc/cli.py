@@ -1,7 +1,7 @@
 """Command-line front end: run season-loop experiments end to end, partition
 single datasets, and print/export schedule grids.
 
-Exit codes: 0 success, 1 usage error or diverged training, 2 data error, 3 internal error.
+Exit codes: 0 success, 1 usage error or diverged training, 2 data or file error, 3 internal error.
 """
 
 from __future__ import annotations
@@ -177,7 +177,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: Path) -> dict:
         rows += [{"mission": i, "strategy": label, "upd": cfg.partition.method, "error": err,
                   "mode": cfg.success_mode, "success_ratio": by_error[err]}
                  for err in cfg.error_thresholds]
-        ratios = {f"{err:g}": ratio for err, ratio in by_error.items()}
+        ratios = {report.threshold_label(err): ratio for err, ratio in by_error.items()}
         per_mission.append(
             {
                 "mission": i,
@@ -272,7 +272,8 @@ written by `placedef`:
   partition.svg  trajectory overlay colored by place class
   insertions.csv image_id,class_id,pos_dist,ang_diff,feat_dist (incremental only)
 
-exit codes: 0 success, 1 usage error or diverged training, 2 data error, 3 internal error
+exit codes: 0 success, 1 usage error or diverged training, 2 data error or a file that
+            cannot be read or written (e.g. --out naming a file), 3 internal error
 """
 
 
@@ -338,7 +339,7 @@ def main(argv=None) -> int:
     except (UsageError, DivergenceError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, StateFormatError, FileNotFoundError) as exc:
+    except (DataError, StateFormatError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except Exception:  # pragma: no cover - defensive

@@ -270,32 +270,30 @@ class PlacePartition:
             heading = normalize_angle(math.atan2(sum(math.sin(t) for t in thetas), 0))
             representatives.append((sum(xs) / len(xs), sum(ys) / len(ys), heading))
         keyframes = [int(c.members[0]) for c in classes]
-        return PartitionSummary(
-            keyframe_ids=keyframes,
-            keyframe_timestamps=train.timestamps[keyframes],
-            keyframe_poses=train.poses[keyframes],
-            representatives=representatives,
-            sizes=[len(c.members) for c in classes],
-            source_season=self.source_season,
-            method=self.method,
-        )
+        rows = np.empty(len(classes), CLASS_RECORD)
+        rows["class_id"] = np.arange(len(classes))
+        rows["keyframe_ids"] = keyframes
+        rows["keyframe_timestamps"] = train.timestamps[keyframes]
+        rows["keyframe_poses"] = train.poses[keyframes]
+        rows["representatives"] = representatives
+        rows["sizes"] = [len(c.members) for c in classes]
+        return PartitionSummary(rows, self.source_season, self.method)
 
 
-# One place class as the state file stores it (packed, 72 bytes): its id,
-# then a PartitionSummary's columns in their order and types.
+# One place class as a PartitionSummary holds it and the state file stores
+# it (packed, 72 bytes).
 CLASS_RECORD = np.dtype([("class_id", "<u4"), ("keyframe_ids", "<i8"),
                          ("keyframe_timestamps", "<i8"), ("keyframe_poses", "<f8", (3,)),
                          ("representatives", "<f8", (3,)), ("sizes", "<u4")])
-SUMMARY_COLUMNS = CLASS_RECORD.names[1:]
 
 
 @dataclass(frozen=True, eq=False)
 class PartitionSummary:
-    """Feature-free partition metadata retained inside classifier records,
-    one entry per class: keyframe_ids and keyframe_timestamps (K,) int64,
-    keyframe_poses and representatives (K, 3) float64 x, y, heading, and
-    sizes (K,) uint32 (`CLASS_RECORD`). The arrays are read-only copies of
-    the inputs, and every pose is finite with a heading in (-pi, pi].
+    """Feature-free partition metadata retained inside classifier records:
+    `rows`, one `CLASS_RECORD` per class as the state file stores them, a
+    read-only (K,) copy of the input (never a view of a file's bytes) with
+    class ids 0..K-1 in order and every pose finite with a heading in
+    (-pi, pi]. The properties below read the other fields as columns.
 
     A PlacePartition holds a class label per row of its season, and both exist
     only while that season is being processed; only this summary, built by
@@ -303,39 +301,37 @@ class PartitionSummary:
     state.
     """
 
-    keyframe_ids: np.ndarray
-    keyframe_timestamps: np.ndarray
-    keyframe_poses: np.ndarray
-    representatives: np.ndarray
-    sizes: np.ndarray
+    rows: np.ndarray
     source_season: int
     method: str
 
+    keyframe_ids = property(lambda self: self.rows["keyframe_ids"])
+    keyframe_timestamps = property(lambda self: self.rows["keyframe_timestamps"])
+    keyframe_poses = property(lambda self: self.rows["keyframe_poses"])
+    representatives = property(lambda self: self.rows["representatives"])
+    sizes = property(lambda self: self.rows["sizes"])
+
     def __post_init__(self) -> None:
-        k = len(self.sizes)
-        for name in SUMMARY_COLUMNS:
-            a = np.array(getattr(self, name), dtype=CLASS_RECORD[name].base)
-            shape = (k, *CLASS_RECORD[name].shape)
-            if a.shape != shape:
-                raise ValueError(f"{name} must be a {shape} array, got {a.shape}")
-            object.__setattr__(self, name, _read_only(a))
-        poses = np.concatenate([self.keyframe_poses, self.representatives])
+        rows = np.array(self.rows, dtype=CLASS_RECORD)
+        if rows.ndim != 1 or not np.array_equal(rows["class_id"], np.arange(len(rows))):
+            raise ValueError("partition rows must be (K,), their class ids 0..K-1 in order")
+        poses = np.concatenate([rows["keyframe_poses"], rows["representatives"]])
         if not np.isfinite(poses).all():
             raise ValueError("non-finite pose in a partition summary")
         if not ((poses[:, 2] > -math.pi) & (poses[:, 2] <= math.pi)).all():
             raise ValueError("heading outside (-pi, pi] in a partition summary")
+        object.__setattr__(self, "rows", _read_only(rows))
 
     @property
     def classes(self) -> range:
         """The class ids, 0..K-1."""
-        return range(len(self.sizes))
+        return range(len(self.rows))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PartitionSummary):
             return NotImplemented
         return ((self.source_season, self.method) == (other.source_season, other.method)
-                and all(np.array_equal(getattr(self, name), getattr(other, name))
-                        for name in SUMMARY_COLUMNS))
+                and np.array_equal(self.rows, other.rows))
 
 
 def membership_labels(partition: PlacePartition, n_images: int) -> np.ndarray:

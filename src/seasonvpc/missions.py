@@ -19,7 +19,6 @@ from .classify import (DivergenceError, ModelStack, TrainConfig, fine_tune, mode
                        predict, train)
 from .core import (
     CLASS_RECORD,
-    SUMMARY_COLUMNS,
     ClassifierRecord,
     EnsembleState,
     MappedImage,
@@ -79,6 +78,9 @@ class MissionConfig:
         if not isinstance(thresholds, (list, tuple)) or not thresholds or not all(
                 map(_is_threshold, thresholds)):
             raise ValueError("error_thresholds must be positive and finite numbers")
+        repeated = [t for i, t in enumerate(thresholds) if float(t) in map(float, thresholds[:i])]
+        if repeated:
+            raise ValueError(f"error threshold {repeated[0]!r} is given twice")
         object.__setattr__(self, "error_thresholds", tuple(thresholds))
         if self.success_mode not in SUCCESS_MODES:
             raise ValueError("success_mode must be rank1 or topx")
@@ -110,6 +112,8 @@ def run_adaptation(state: EnsembleState, d: TrainingSet, cfg: MissionConfig) -> 
     the season. The training set itself is not retained in the result."""
     if d.season_id != state.mission + 1:
         raise ValueError(f"season {d.season_id} does not follow mission {state.mission}")
+    if state.capacity != cfg.capacity:
+        raise ValueError(f"state capacity {state.capacity} != config capacity {cfg.capacity}")
     i = state.mission + 1
     previous = Schedule(()) if state.mission == 0 else Schedule(
         tuple(c.history for c in state.classifiers)
@@ -314,12 +318,8 @@ def _serialize(state: EnsembleState) -> bytes:
             p = rec.partition
             parts.append(_FLAG.pack(1))
             parts.append(_PARTITION.pack(p.source_season, PARTITION_METHODS.index(p.method),
-                                         len(p.classes)))
-            rows = np.empty(len(p.classes), CLASS_RECORD)
-            rows["class_id"] = np.arange(len(rows))
-            for name in SUMMARY_COLUMNS:
-                rows[name] = getattr(p, name)
-            parts.append(rows)
+                                         len(p.rows)))
+            parts.append(p.rows)
     return b"".join(parts)
 
 
@@ -381,12 +381,8 @@ def _deserialize(blob: bytes | memoryview) -> EnsembleState:
             source_season, method_code, n_classes_p = r.take(_PARTITION)
             if method_code >= len(PARTITION_METHODS):
                 raise StateFormatError(f"unknown partition method code {method_code}")
-            rows = r.array(CLASS_RECORD, n_classes_p)
-            if not np.array_equal(rows["class_id"], np.arange(n_classes_p)):
-                raise StateFormatError("partition class ids must be 0..K-1 in order")
-            partition = PartitionSummary(**{name: rows[name] for name in SUMMARY_COLUMNS},
-                                         source_season=source_season,
-                                         method=PARTITION_METHODS[method_code])
+            partition = PartitionSummary(r.array(CLASS_RECORD, n_classes_p), source_season,
+                                         PARTITION_METHODS[method_code])
         records.append(ClassifierRecord(history=history, partition=partition, model=model))
     if r.pos != len(blob):
         raise StateFormatError("trailing bytes in state payload")

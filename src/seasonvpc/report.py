@@ -20,11 +20,18 @@ def class_color(class_id: int) -> str:
     return f"#{int(r * 255):02x}{int(g * 255):02x}{int(b * 255):02x}"
 
 
+def threshold_label(error: float) -> str:
+    """`f"{error:g}"` when that reads back as `error` (10 prints as 10), else
+    the exact repr: two distinct thresholds never share a label."""
+    label = f"{error:g}"
+    return label if float(label) == error else repr(float(error))
+
+
 def results_csv(rows: Sequence[dict]) -> str:
     lines = ["mission,strategy,upd,error,mode,success_ratio"]
     for r in rows:
         lines.append(
-            f"{r['mission']},{r['strategy']},{r['upd']},{r['error']:g},"
+            f"{r['mission']},{r['strategy']},{r['upd']},{threshold_label(r['error'])},"
             f"{r['mode']},{float(r['success_ratio'])!r}"
         )
     return "\n".join(lines) + "\n"
@@ -87,7 +94,8 @@ def success_svg(rows: Sequence[dict], title: str = "success ratio vs mission") -
     per error threshold of `results_csv`'s rows."""
     series: dict[str, list[tuple[int, float]]] = {}
     for r in rows:
-        series.setdefault(f"error={r['error']:g}m", []).append((r["mission"], r["success_ratio"]))
+        label = f"error={threshold_label(r['error'])}m"
+        series.setdefault(label, []).append((r["mission"], r["success_ratio"]))
     width, height = 420, 300
     left, right, top, bottom = 52, 14, 34, 40
     plot_w, plot_h = width - left - right, height - top - bottom

@@ -358,6 +358,45 @@ def test_results_csv_success_ratios_are_plain_numbers(tmp_path, monkeypatch, upd
     assert all(type(r) is float for r in ratios)
 
 
+def test_repeated_error_threshold_is_a_usage_error(tmp_path, capsys):
+    spec = _spec_file(tmp_path, missions=2)
+    out = tmp_path / "out"
+    assert main(["run", "--spec", str(spec), "--out", str(out), "--error", "10", "10"]) == 1
+    assert "error threshold 10.0 is given twice" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_look_alike_error_thresholds_keep_distinct_labels(tmp_path):
+    # f"{err:g}" prints both as 1.23457e+06
+    spec = _spec_file(tmp_path, missions=2)
+    out = tmp_path / "out"
+    assert main(["run", "--spec", str(spec), "--out", str(out),
+                 "--error", "1234567", "1234568"]) == 0
+    rows = [row.split(",") for row in (out / "results.csv").read_text().splitlines()[1:]]
+    assert len({tuple(row[:4]) for row in rows}) == len(rows) == 4
+    assert {row[3] for row in rows} == {"1234567.0", "1234568.0"}
+    summary = json.loads((out / "summary.json").read_text())
+    assert [sorted(m["success"]) for m in summary["missions"]] == \
+        [["1234567.0", "1234568.0"]] * 2
+    svg = (out / "success.svg").read_text()
+    assert svg.count("<polyline") == 2
+    assert "error=1234567.0m" in svg and "error=1234568.0m" in svg
+
+
+@pytest.mark.parametrize("argv", [["run", "--missions", "1", "--out", "{file}"],
+                                  ["placedef", "--out", "{file}/x"],
+                                  ["schedule", "--out", "{file}"]],
+                         ids=["run", "placedef", "schedule"])
+def test_out_on_a_regular_file_is_a_data_error(tmp_path, capsys, caplog, argv):
+    file = tmp_path / "file"
+    file.write_text("not a directory\n")
+    assert main([arg.format(file=file) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert "data error:" in err
+    assert "Traceback" not in err + caplog.text
+    assert file.read_text() == "not a directory\n"
+
+
 def _main_on_spec(tmp_path, argv, edit=None):
     """`main(argv)` with "SPEC" standing for a small valid spec file that
     `edit(doc)` may rewrite, and an --out directory for run and placedef."""

@@ -21,6 +21,7 @@ from seasonvpc import (
     path_length,
     viewpoint_distance,
 )
+from seasonvpc.core import CLASS_RECORD
 
 from conftest import line_training_set, season_from_xy
 
@@ -245,9 +246,8 @@ def test_partition_summary_reads_keyframe_and_centroid_from_the_season(line7):
 
 
 def _summary(keyframe_pose=(0.0, 0.0, 0.0), representative=(1.0, 0.0, math.pi)):
-    return PartitionSummary(keyframe_ids=[0], keyframe_timestamps=[0],
-                            keyframe_poses=[keyframe_pose], representatives=[representative],
-                            sizes=[1], source_season=1, method="location")
+    rows = np.array([(0, 0, 0, keyframe_pose, representative, 1)], CLASS_RECORD)
+    return PartitionSummary(rows, source_season=1, method="location")
 
 
 @pytest.mark.parametrize("column", ["keyframe_pose", "representative"])

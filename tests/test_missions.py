@@ -41,6 +41,7 @@ from seasonvpc import (
     viewpoint_distance,
 )
 from seasonvpc import missions
+from seasonvpc.core import CLASS_RECORD
 from seasonvpc.missions import SINGLETON_WARN_FRACTION, StateFormatError
 
 from conftest import same_params
@@ -89,6 +90,21 @@ def test_adaptation_rejects_wrong_season():
     cfg = _mc(StrategyConfig("ST1"))
     with pytest.raises(ValueError):
         run_adaptation(initial_state(4), seasons[1], cfg)
+
+
+def test_adaptation_refuses_a_config_of_another_capacity():
+    # before, missions 1 and 2 ran and mission 3 failed building its state
+    seasons = _synth(2)
+    cfg = _mc(StrategyConfig("ST1"), capacity=2)
+    with pytest.raises(ValueError, match="state capacity 4 != config capacity 2"):
+        run_adaptation(initial_state(4), seasons[0], cfg)
+
+
+def test_mission_config_refuses_a_repeated_threshold():
+    for thresholds, named in (((10.0, 10.0), "10.0"), ((10, 20.0, 10.0), "10.0"),
+                              ((20.0, 10.0, 10), "10")):
+        with pytest.raises(ValueError, match=f"error threshold {named} is given twice"):
+            MissionConfig(strategy=StrategyConfig("ST1"), error_thresholds=thresholds)
 
 
 def test_adaptation_four_missions_st2_each_slot_tuned_once():
@@ -445,10 +461,12 @@ def desk_state(seed: int) -> EnsembleState:
     """A mission-4 state of desk size: four slots of 4096 features, 64
     hidden units and 100 classes, about 8.6 MB on disk."""
     k = 100
-    summary = PartitionSummary(
-        keyframe_ids=np.arange(k), keyframe_timestamps=np.arange(k) * 1_000_000,
-        keyframe_poses=np.zeros((k, 3)), representatives=np.ones((k, 3)),
-        sizes=np.full(k, 5), source_season=1, method="location")
+    rows = np.zeros(k, CLASS_RECORD)
+    rows["class_id"] = rows["keyframe_ids"] = np.arange(k)
+    rows["keyframe_timestamps"] = np.arange(k) * 1_000_000
+    rows["representatives"] = 1.0
+    rows["sizes"] = 5
+    summary = PartitionSummary(rows, source_season=1, method="location")
     return EnsembleState(mission=4, capacity=4, classifiers=tuple(
         ClassifierRecord(RetrainHistory.from_string(bits), summary,
                          init_model(4096, 64, k, seed=10 * seed + slot))

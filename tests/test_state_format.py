@@ -39,17 +39,15 @@ def _pinned_state():
     """Two slots: a 3-class partition with a heading of exactly pi and a
     negative one, and a model with final_loss and seed; a 2-class partition
     and a model with neither."""
-    three = PartitionSummary(
-        keyframe_ids=[0, 4, 9], keyframe_timestamps=[-5, 4_000_000, 9_000_000],
-        keyframe_poses=[(0.0, 1.5, math.pi), (10.0, -2.0, -1.25), (20.5, 0.0, 0.0)],
-        representatives=[(2.5, 1.75, math.pi / 2), (11.0, -2.5, -math.pi / 2),
-                         (20.25, 0.125, 0.0)],
-        sizes=[4, 5, 1], source_season=2, method="incremental")
-    two = PartitionSummary(
-        keyframe_ids=[0, 3], keyframe_timestamps=[0, 3_000_000],
-        keyframe_poses=[(1.0, 2.0, 0.5), (4.0, 8.0, -3.0)],
-        representatives=[(1.5, 2.5, math.pi / 2), (5.0, 9.0, 0.0)],
-        sizes=[3, 2], source_season=1, method="location")
+    three = PartitionSummary(np.array([
+        (0, 0, -5, (0.0, 1.5, math.pi), (2.5, 1.75, math.pi / 2), 4),
+        (1, 4, 4_000_000, (10.0, -2.0, -1.25), (11.0, -2.5, -math.pi / 2), 5),
+        (2, 9, 9_000_000, (20.5, 0.0, 0.0), (20.25, 0.125, 0.0), 1),
+    ], CLASS_RECORD), source_season=2, method="incremental")
+    two = PartitionSummary(np.array([
+        (0, 0, 0, (1.0, 2.0, 0.5), (1.5, 2.5, math.pi / 2), 3),
+        (1, 3, 3_000_000, (4.0, 8.0, -3.0), (5.0, 9.0, 0.0), 2),
+    ], CLASS_RECORD), source_season=1, method="location")
     return EnsembleState(mission=2, capacity=2, classifiers=(
         ClassifierRecord(RetrainHistory((1, 1)), three, _model(3, 0.375, 7)),
         ClassifierRecord(RetrainHistory((1, 0)), two, _model(2, None, None)),
@@ -101,6 +99,18 @@ def test_first_class_offset_points_at_the_first_record(tmp_path):
     rows = np.frombuffer(payload, CLASS_RECORD, count=3, offset=FIRST_CLASS)
     assert rows["keyframe_ids"].tolist() == [0, 4, 9]
     assert rows["keyframe_poses"][0, 2] == math.pi
+    assert rows.tobytes() == _pinned_state().classifiers[0].partition.rows.tobytes()
+
+
+def test_a_loaded_summary_owns_read_only_rows(tmp_path):
+    path = tmp_path / "state.svpc"
+    save_state(_pinned_state(), path)
+    for rec in load_state(path).classifiers:
+        rows = rec.partition.rows
+        assert rows.dtype == CLASS_RECORD
+        assert not rows.flags.writeable
+        assert rows.flags.owndata  # not a view of the file's bytes
+        assert not rec.partition.sizes.flags.writeable
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -145,6 +155,16 @@ def test_class_ids_out_of_order_are_format_error(tmp_path):
     path = _crafted(tmp_path, _field(1, "class_id"), np.uint32(2).tobytes())
     with pytest.raises(StateFormatError, match="class ids"):
         load_state(path)
+
+
+def test_class_ids_are_checked_by_the_summary_type(tmp_path):
+    path = _crafted(tmp_path, _field(2, "class_id"), np.uint32(1).tobytes())
+    with pytest.raises(StateFormatError, match="invalid record: .*class ids 0..K-1 in order"):
+        load_state(path)
+    rows = _pinned_state().classifiers[0].partition.rows.copy()
+    rows["class_id"] = [0, 2, 1]
+    with pytest.raises(ValueError, match="class ids"):
+        PartitionSummary(rows, source_season=2, method="incremental")
 
 
 # Payload offsets of the presence bytes: slot 0's model flag follows the

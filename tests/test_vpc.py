@@ -24,6 +24,7 @@ from seasonvpc import (
 )
 
 from seasonvpc.classify import BLOCK_BYTES, ModelStack, _row_blocks, predict
+from seasonvpc.core import CLASS_RECORD
 from seasonvpc.fusion import PARTIAL_WIDTH
 from seasonvpc.missions import active_slots, vpc_plan
 
@@ -32,11 +33,11 @@ from vpc_oracle import predict_one, run_vpc_reference
 
 
 def _partition(rng, k):
-    representatives = np.zeros((k, 3))
-    representatives[:, :2] = rng.normal(0.0, 50.0, size=(k, 2))
-    return PartitionSummary(keyframe_ids=np.arange(k), keyframe_timestamps=np.arange(k),
-                            keyframe_poses=np.zeros((k, 3)), representatives=representatives,
-                            sizes=np.ones(k), source_season=1, method="location")
+    rows = np.zeros(k, CLASS_RECORD)
+    rows["class_id"] = rows["keyframe_ids"] = rows["keyframe_timestamps"] = np.arange(k)
+    rows["representatives"][:, :2] = rng.normal(0.0, 50.0, size=(k, 2))
+    rows["sizes"] = 1
+    return PartitionSummary(rows, source_season=1, method="location")
 
 
 def _model_with_ties(rng, f_dim, k, seed):

@@ -215,6 +215,8 @@ def cmd_run(args: argparse.Namespace) -> None:
 def cmd_placedef(args: argparse.Namespace) -> None:
     spec = _build_spec({}, args)
     cfg = spec.mission.partition
+    if args.season is not None and spec.manifest is None:
+        raise UsageError("--season picks a season of --manifest, which is not given")
     if spec.manifest is not None:
         f_dim, bundles = load_manifest(spec.manifest)
         wanted = args.season if args.season is not None else bundles[0].season_id
@@ -308,7 +310,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pd_p = sub.add_parser("placedef", help="partition one season into place classes",
                           parents=[place_flags])
     pd_p.add_argument("--manifest", help="dataset manifest JSON (default: synthetic demo)")
-    pd_p.add_argument("--season", type=int, help="season id within the manifest")
+    pd_p.add_argument("--season", type=int, help="season id within --manifest, which it needs")
     pd_p.add_argument("--k", type=int)
     pd_p.add_argument("--out", required=True)
     pd_p.set_defaults(func=cmd_placedef)

@@ -290,9 +290,10 @@ CLASS_RECORD = np.dtype([("class_id", "<u4"), ("keyframe_ids", "<i8"),
 @dataclass(frozen=True, eq=False)
 class PartitionSummary:
     """Feature-free partition metadata retained inside classifier records:
-    `rows`, one `CLASS_RECORD` per class as the state file stores them, a
-    read-only (K,) copy of the input (never a view of a file's bytes) with
-    class ids 0..K-1 in order and every pose finite with a heading in
+    `rows`, one `CLASS_RECORD` per class as the state file stores them: a
+    read-only (K,) copy of a CLASS_RECORD array (never a view of a file's
+    bytes; never cast, which would broadcast a number into a record), class
+    ids 0..K-1 in order, sizes >= 1, every pose finite with a heading in
     (-pi, pi]. The properties below read the other fields as columns.
 
     A PlacePartition holds a class label per row of its season, and both exist
@@ -312,9 +313,14 @@ class PartitionSummary:
     sizes = property(lambda self: self.rows["sizes"])
 
     def __post_init__(self) -> None:
-        rows = np.array(self.rows, dtype=CLASS_RECORD)
+        dtype = getattr(self.rows, "dtype", None)
+        if dtype != CLASS_RECORD:
+            raise ValueError(f"partition rows must be CLASS_RECORD records, got dtype {dtype}")
+        rows = np.array(self.rows)
         if rows.ndim != 1 or not np.array_equal(rows["class_id"], np.arange(len(rows))):
             raise ValueError("partition rows must be (K,), their class ids 0..K-1 in order")
+        if (rows["sizes"] < 1).any():
+            raise ValueError("class of size 0 in a partition summary")
         poses = np.concatenate([rows["keyframe_poses"], rows["representatives"]])
         if not np.isfinite(poses).all():
             raise ValueError("non-finite pose in a partition summary")
@@ -345,30 +351,27 @@ def membership_labels(partition: PlacePartition, n_images: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ClassifierRecord:
-    """One ensemble slot: retrain history, partition summary, model handle.
-
-    The never-fine-tuned base slot carries no model and no partition.
-    """
+    """One trained ensemble slot: retrain history, the partition summary of
+    the season it last trained on, and its model."""
 
     history: RetrainHistory
-    partition: PartitionSummary | None
-    model: "ModelParams | None"
+    partition: PartitionSummary
+    model: "ModelParams"
 
     def __post_init__(self) -> None:
-        if (self.model is None) != (self.partition is None):
-            raise ValueError("model and partition must be present or absent together")
         m = self.model
-        if m is not None and m.n_classes != len(self.partition.sizes):
+        if m.n_classes != len(self.partition.sizes):
             raise ValueError(f"partition of {len(self.partition.sizes)} classes for a "
                              f"model of {m.n_classes}")
-        if m is not None and not all(np.isfinite(a).all() for a in (m.w1, m.b1, m.w2, m.b2)):
+        if not all(np.isfinite(a).all() for a in (m.w1, m.b1, m.w2, m.b2)):
             raise ValueError("non-finite model parameter")
 
 
 @dataclass(frozen=True, eq=False)
 class EnsembleState:
     """The classifier set plus mission index; the only state kept between
-    seasons. Never holds past training features.
+    seasons. Never holds past training features. A slot is trained in the
+    mission that adds it, so mission i holds min(i, capacity) slots.
 
     `missions.vpc_plan` keeps what VPC derives from the fields in the
     instance's `__dict__`; it is not a field and not part of the state."""
@@ -382,12 +385,10 @@ class EnsembleState:
             raise ValueError("capacity must be >= 1")
         if self.mission < 0:
             raise ValueError("mission must be >= 0")
-        expected = 1 if self.mission == 0 else min(self.mission, self.capacity)
+        expected = min(self.mission, self.capacity)
         if len(self.classifiers) != expected:
-            raise ValueError(
-                f"expected {expected} classifiers at mission {self.mission}, "
-                f"got {len(self.classifiers)}"
-            )
+            raise ValueError(f"expected {expected} classifiers at mission {self.mission}, "
+                             f"got {len(self.classifiers)}")
         for rec in self.classifiers:
             if len(rec.history) != self.mission:
                 raise ValueError("history length must equal the mission index")

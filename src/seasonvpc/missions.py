@@ -93,9 +93,8 @@ def queries_from_set(test_set: TrainingSet) -> list[MappedImage]:
 
 
 def initial_state(capacity: int) -> EnsembleState:
-    """Mission-0 ensemble: the lone base classifier, never fine-tuned."""
-    base = ClassifierRecord(history=RetrainHistory(), partition=None, model=None)
-    return EnsembleState(mission=0, classifiers=(base,), capacity=capacity)
+    """Mission-0 ensemble: no slot yet; mission 1 trains the first."""
+    return EnsembleState(mission=0, classifiers=(), capacity=capacity)
 
 
 def _slot_seed(cfg: TrainConfig, mission: int, slot: int) -> int:
@@ -107,18 +106,21 @@ def _slot_seed(cfg: TrainConfig, mission: int, slot: int) -> int:
 
 def run_adaptation(state: EnsembleState, d: TrainingSet, cfg: MissionConfig) -> EnsembleState:
     """One adaptation mission: schedule, partition the new season once, then
-    fine-tune (or freshly train, for base-derived slots) every slot whose new
-    bit is 1. A mission in which no slot's new bit is 1 does not partition
-    the season. The training set itself is not retained in the result."""
+    fine-tune each slot whose new bit is 1 and train the one it spawns, which
+    must train (ValueError otherwise, as under ST2 with n_bar 0). A mission
+    with no new bit 1 does not partition the season. The training set itself
+    is not retained in the result."""
     if d.season_id != state.mission + 1:
         raise ValueError(f"season {d.season_id} does not follow mission {state.mission}")
     if state.capacity != cfg.capacity:
         raise ValueError(f"state capacity {state.capacity} != config capacity {cfg.capacity}")
     i = state.mission + 1
-    previous = Schedule(()) if state.mission == 0 else Schedule(
-        tuple(c.history for c in state.classifiers)
-    )
+    previous = Schedule(tuple(c.history for c in state.classifiers))
     decision = next_schedule(cfg.strategy, previous, i, cfg.capacity)
+    spawned = decision.spawned_slot
+    if spawned is not None and not decision.schedule.histories[spawned].last_bit():
+        raise ValueError(f"strategy {cfg.strategy.label()} leaves slot {spawned} untrained "
+                         f"in mission {i}, which spawns it")
     if any(h.last_bit() for h in decision.schedule.histories):
         partition = build_partition(d, cfg.partition)
         features = d.features.astype(np.float64)
@@ -138,22 +140,14 @@ def run_adaptation(state: EnsembleState, d: TrainingSet, cfg: MissionConfig) -> 
 
     records = []
     for slot, history in enumerate(decision.schedule.histories):
-        old = state.classifiers[slot] if slot < len(previous.histories) else None
         if history.last_bit() == 0:
-            records.append(
-                ClassifierRecord(
-                    history=history,
-                    partition=old.partition if old else None,
-                    model=old.model if old else None,
-                )
-            )
+            records.append(replace(state.classifiers[slot], history=history))
             continue
         slot_cfg = replace(cfg.train, seed=_slot_seed(cfg.train, i, slot))
         try:
-            if old is None or old.model is None:
-                model = train(features, labels, n_classes, slot_cfg)
-            else:
-                model = fine_tune(old.model, features, labels, n_classes, slot_cfg)
+            model = (train(features, labels, n_classes, slot_cfg) if slot == spawned else
+                     fine_tune(state.classifiers[slot].model, features, labels, n_classes,
+                               slot_cfg))
         except DivergenceError as exc:
             raise DivergenceError(f"season {d.season_id}, slot {slot}: {exc}") from None
         records.append(ClassifierRecord(history=history, partition=summary, model=model))
@@ -161,16 +155,14 @@ def run_adaptation(state: EnsembleState, d: TrainingSet, cfg: MissionConfig) -> 
 
 
 def active_slots(state: EnsembleState, strategy: StrategyConfig) -> list[int]:
-    """Slots that participate in fusion: trained ones, narrowed by the ST3
-    filter when enabled (base-only slots have no partition to predict over)."""
-    trained = [j for j, c in enumerate(state.classifiers) if c.model is not None]
+    """Slots that participate in fusion: every slot, narrowed by the ST3
+    filter when enabled and it chooses any."""
     if strategy.kind == "ST3" and strategy.st3_filter:
-        schedule = Schedule(tuple(c.history for c in state.classifiers))
-        chosen = set(st3_fusion_filter(schedule, strategy.k_bar))
-        filtered = [j for j in trained if j in chosen]
-        if filtered:
-            return filtered
-    return trained
+        chosen = st3_fusion_filter(Schedule(tuple(c.history for c in state.classifiers)),
+                                   strategy.k_bar)
+        if chosen:
+            return list(chosen)
+    return list(range(len(state.classifiers)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,8 +192,6 @@ def vpc_plan(state: EnsembleState, strategy: StrategyConfig) -> VPCPlan:
     plan = plans.get(strategy)
     if plan is None:
         slots = active_slots(state, strategy)
-        if not slots:
-            raise ValueError("no trained classifiers available for VPC")
         records = [state.classifiers[j] for j in slots]
         try:
             stack = ModelStack([rec.model for rec in records])
@@ -299,27 +289,20 @@ def _serialize(state: EnsembleState) -> bytes:
     for rec in state.classifiers:
         parts.append(_U32.pack(len(rec.history)))
         parts.append(bytes(rec.history.bits))
-        if rec.model is None:
-            parts.append(_FLAG.pack(0))
-        else:
-            m = rec.model
-            parts.append(_FLAG.pack(1))
-            parts.append(_DIMS.pack(m.feature_dim, m.hidden, m.n_classes))
-            # Each array itself when it is already contiguous little-endian
-            # float64: bytes.join copies it once, with no intermediate bytes.
-            parts.extend(np.ascontiguousarray(a, dtype=_F64) for a in (m.w1, m.b1, m.w2, m.b2))
-            has_loss = m.final_loss is not None
-            parts.append(_LOSS.pack(int(has_loss), m.final_loss if has_loss else 0.0))
-            has_seed = m.seed is not None
-            parts.append(_SEED.pack(int(has_seed), m.seed if has_seed else 0))
-        if rec.partition is None:
-            parts.append(_FLAG.pack(0))
-        else:
-            p = rec.partition
-            parts.append(_FLAG.pack(1))
-            parts.append(_PARTITION.pack(p.source_season, PARTITION_METHODS.index(p.method),
-                                         len(p.rows)))
-            parts.append(p.rows)
+        m, p = rec.model, rec.partition
+        parts.append(_FLAG.pack(1))  # model present: every slot is trained
+        parts.append(_DIMS.pack(m.feature_dim, m.hidden, m.n_classes))
+        # Each array itself when it is already contiguous little-endian
+        # float64: bytes.join copies it once, with no intermediate bytes.
+        parts.extend(np.ascontiguousarray(a, dtype=_F64) for a in (m.w1, m.b1, m.w2, m.b2))
+        has_loss = m.final_loss is not None
+        parts.append(_LOSS.pack(int(has_loss), m.final_loss if has_loss else 0.0))
+        has_seed = m.seed is not None
+        parts.append(_SEED.pack(int(has_seed), m.seed if has_seed else 0))
+        parts.append(_FLAG.pack(1))  # partition present
+        parts.append(_PARTITION.pack(p.source_season, PARTITION_METHODS.index(p.method),
+                                     len(p.rows)))
+        parts.append(p.rows)
     return b"".join(parts)
 
 
@@ -364,25 +347,25 @@ def _deserialize(blob: bytes | memoryview) -> EnsembleState:
     for _ in range(n_records):
         (hist_len,) = r.take(_U32)
         history = RetrainHistory(tuple(r.array(_U8, hist_len).tolist()))
-        model = None
-        if r.optional(_FLAG, "model"):
-            f_dim, hidden, n_classes = r.take(_DIMS)
-            if min(f_dim, hidden, n_classes) < 1:
-                raise StateFormatError("model dimensions must be >= 1")
-            # w1, b1, w2, b2 back to back. Python ints: a product of crafted
-            # u32 dimensions cannot wrap, and array() checks the length
-            # before anything is allocated.
-            params = r.array(_F64, hidden * f_dim + hidden + n_classes * hidden + n_classes)
-            model = model_from_flat(params, f_dim, hidden, n_classes,
-                                    final_loss=r.optional(_LOSS, "final_loss"),
-                                    seed=r.optional(_SEED, "seed"))
-        partition = None
-        if r.optional(_FLAG, "partition"):
-            source_season, method_code, n_classes_p = r.take(_PARTITION)
-            if method_code >= len(PARTITION_METHODS):
-                raise StateFormatError(f"unknown partition method code {method_code}")
-            partition = PartitionSummary(r.array(CLASS_RECORD, n_classes_p), source_season,
-                                         PARTITION_METHODS[method_code])
+        if not r.optional(_FLAG, "model"):
+            raise StateFormatError("slot without a model")
+        f_dim, hidden, n_classes = r.take(_DIMS)
+        if min(f_dim, hidden, n_classes) < 1:
+            raise StateFormatError("model dimensions must be >= 1")
+        # w1, b1, w2, b2 back to back. Python ints: a product of crafted u32
+        # dimensions cannot wrap, and array() checks the length before
+        # anything is allocated.
+        params = r.array(_F64, hidden * f_dim + hidden + n_classes * hidden + n_classes)
+        model = model_from_flat(params, f_dim, hidden, n_classes,
+                                final_loss=r.optional(_LOSS, "final_loss"),
+                                seed=r.optional(_SEED, "seed"))
+        if not r.optional(_FLAG, "partition"):
+            raise StateFormatError("slot without a partition")
+        source_season, method_code, n_classes_p = r.take(_PARTITION)
+        if method_code >= len(PARTITION_METHODS):
+            raise StateFormatError(f"unknown partition method code {method_code}")
+        partition = PartitionSummary(r.array(CLASS_RECORD, n_classes_p), source_season,
+                                     PARTITION_METHODS[method_code])
         records.append(ClassifierRecord(history=history, partition=partition, model=model))
     if r.pos != len(blob):
         raise StateFormatError("trailing bytes in state payload")
@@ -392,9 +375,11 @@ def _deserialize(blob: bytes | memoryview) -> EnsembleState:
 def save_state(state: EnsembleState, path) -> None:
     """Write the ensemble to a checksummed, versioned binary container.
 
-    The bytes go to a temporary file beside `path`, reach the disk (fsync),
-    and then replace `path` in one rename: a crash or a failed write leaves
-    the previous state file whole.
+    The bytes go to a temporary file beside `path`, `.{name}.<pid>.tmp`,
+    reach the disk (fsync), and then replace `path` in one rename: a crash or
+    a failed write leaves the previous state file whole. After the rename,
+    the temporary files of writers that no longer run (their pid is gone on
+    this host) are removed; a running writer's file is left alone.
     """
     payload = _serialize(state)
     header = _HEADER.pack(STATE_MAGIC, STATE_VERSION, len(payload),
@@ -411,6 +396,16 @@ def save_state(state: EnsembleState, path) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    prefix = f".{path.name}."
+    for orphan in path.parent.iterdir():
+        pid = orphan.name[len(prefix):-len(".tmp")]
+        if orphan.name.startswith(prefix) and orphan.name.endswith(".tmp") and pid.isdecimal():
+            try:
+                os.kill(int(pid), 0)
+            except ProcessLookupError:  # its writer was killed mid-save
+                orphan.unlink(missing_ok=True)
+            except (OSError, OverflowError):  # running under another user, or no pid
+                pass
 
 
 def load_state(path) -> EnsembleState:

@@ -119,6 +119,22 @@ def test_placedef_missing_manifest_is_data_error(tmp_path, capsys):
     assert "nope.json" in capsys.readouterr().err
 
 
+def test_placedef_season_without_manifest_is_usage_error(tmp_path, capsys):
+    # before, it partitioned synthetic season 1 whatever the season asked
+    assert main(["placedef", "--season", "3", "--out", str(tmp_path / "pd")]) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and "--season" in err and "--manifest" in err
+    assert not (tmp_path / "pd").exists()
+
+
+def test_placedef_season_missing_from_the_manifest_is_data_error(tmp_path, capsys):
+    manifest = _two_season_manifest(tmp_path)
+    code = main(["placedef", "--manifest", str(manifest), "--season", "9",
+                 "--out", str(tmp_path / "pd")])
+    assert code == 2
+    assert f"{manifest}: no season 9" in capsys.readouterr().err
+
+
 def test_schedule_grid_output(tmp_path, capsys):
     out = tmp_path / "sch"
     assert main(["schedule", "--strategy", "ST2", "--nbar", "1", "--missions", "4",

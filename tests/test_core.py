@@ -260,6 +260,17 @@ def test_partition_summary_refuses_non_finite_poses_and_headings_outside_pi(colu
             _summary(**{column: (0.0, 0.0, heading)})
 
 
+def test_partition_summary_refuses_rows_of_another_dtype_and_empty_classes():
+    # np.zeros(1) as CLASS_RECORD would be one all-zero record of size 0
+    for rows in (np.zeros(1), [(0, 0, 0, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), 1)]):
+        with pytest.raises(ValueError, match="must be CLASS_RECORD records"):
+            PartitionSummary(rows, source_season=1, method="location")
+    rows = _summary().rows.copy()
+    rows["sizes"] = 0
+    with pytest.raises(ValueError, match="class of size 0"):
+        PartitionSummary(rows, source_season=1, method="location")
+
+
 def test_classifier_record_refuses_a_non_finite_parameter_and_a_class_count_mismatch():
     history = RetrainHistory((1,))
     model = init_model(3, 2, 1)

@@ -67,9 +67,7 @@ def _mc(strategy, capacity=4, epochs=15):
 def test_initial_state_is_base_only():
     state = initial_state(4)
     assert state.mission == 0
-    assert len(state.classifiers) == 1
-    assert state.classifiers[0].model is None
-    assert state.classifiers[0].partition is None
+    assert state.classifiers == ()
 
 
 def test_adaptation_mission_one_st1():
@@ -98,6 +96,19 @@ def test_adaptation_refuses_a_config_of_another_capacity():
     cfg = _mc(StrategyConfig("ST1"), capacity=2)
     with pytest.raises(ValueError, match="state capacity 4 != config capacity 2"):
         run_adaptation(initial_state(4), seasons[0], cfg)
+
+
+def test_adaptation_refuses_to_spawn_an_untrained_slot():
+    # ST2 with n_bar 0 spawns each slot with bit 0; a state holds only
+    # trained slots, so the mission that spawns one is refused.
+    seasons = _synth(3)
+    st2 = _mc(StrategyConfig("ST2", n_bar=0))
+    with pytest.raises(ValueError, match=r"strategy ST2\(nbar=0\) leaves slot 0 untrained "
+                                         r"in mission 1"):
+        run_adaptation(initial_state(4), seasons[0], st2)
+    state = run_adaptation(initial_state(4), seasons[0], _mc(StrategyConfig("ST1")))
+    with pytest.raises(ValueError, match=r"leaves slot 1 untrained in mission 2"):
+        run_adaptation(state, seasons[1], st2)
 
 
 def test_mission_config_refuses_a_repeated_threshold():
@@ -492,8 +503,8 @@ while True:
 def test_state_file_survives_a_kill_during_save(tmp_path):
     # A process killed in save_state leaves the path holding one whole state:
     # the one it held before, or the one being written. It may also leave
-    # its temporary file (.state.svpc.<pid>.tmp) beside it; save_state
-    # cleans that up only when it sees the failure.
+    # its temporary file (.state.svpc.<pid>.tmp) beside it, which the next
+    # save_state to the path removes, as its writer no longer runs.
     path = tmp_path / "state.svpc"
     states = [desk_state(0), desk_state(1)]
     tests = Path(__file__).resolve().parent
@@ -512,6 +523,21 @@ def test_state_file_survives_a_kill_during_save(tmp_path):
             child.stderr.close()
         loaded = load_state(path)
         assert any(states_equal(loaded, state) for state in states), delay
+    save_state(states[0], path)
+    assert list(tmp_path.glob(".state.svpc.*.tmp")) == []
+
+
+def test_save_removes_only_the_temporary_files_of_writers_that_no_longer_run(tmp_path):
+    path = tmp_path / "state.svpc"
+    gone = subprocess.run([sys.executable, "-c", "import os; print(os.getpid())"],
+                          capture_output=True, text=True, check=True)
+    kept = [tmp_path / f".state.svpc.{os.getppid()}.tmp",  # a running writer's
+            tmp_path / ".state.svpc.x1.tmp", tmp_path / ".other.svpc.999999999.tmp",
+            tmp_path / f".state.svpc.{10**30}.tmp"]
+    for orphan in [tmp_path / f".state.svpc.{int(gone.stdout)}.tmp", *kept]:
+        orphan.write_bytes(b"partial")
+    save_state(desk_state(0), path)
+    assert sorted(tmp_path.iterdir()) == sorted([path, *kept])
 
 
 def test_capacity_bounded_so_slot_seeds_stay_distinct():

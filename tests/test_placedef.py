@@ -90,6 +90,21 @@ def test_kmeans_k_equals_n():
     assert asg.inertia_history[-1] == pytest.approx(0.0, abs=1e-18)
 
 
+def test_kmeans_reseeds_a_cluster_that_starts_empty():
+    # When both initial centroids are drawn from the 20 identical points,
+    # every point joins the first (ties go to the lower id) and the second
+    # starts empty; it is re-seeded on the farthest point, the odd one out.
+    x = np.array([[0.0, 0.0]] * 20 + [[1.0, 0.0]])
+    started_empty = 0
+    for seed in range(5):
+        asg = kmeans(x, 2, seed=seed)
+        h = asg.inertia_history
+        assert all(b <= a for a, b in zip(h, h[1:]))
+        assert h[-1] == 0.0 and np.bincount(asg.labels).tolist() in ([20, 1], [1, 20])
+        started_empty += h[0] > 0
+    assert started_empty
+
+
 def test_kmeans_rejects_k_above_n():
     with pytest.raises(ValueError):
         kmeans(np.zeros((3, 2)), 4)

@@ -191,6 +191,41 @@ def test_presence_byte_other_than_0_or_1_is_format_error(tmp_path, offset, name)
         load_state(path)
 
 
+@pytest.mark.parametrize("offset, name", [
+    (MODEL_0, "model"), (LOSS_0 + 18, "partition"), (MODEL_1, "model"),
+    (LOSS_1 + 18, "partition"),
+], ids=["model_0", "partition_0", "model_1", "partition_1"])
+def test_slot_without_a_model_or_partition_is_format_error(tmp_path, offset, name):
+    # every slot of a state is trained: both presence bytes must be 1
+    path = _crafted(tmp_path, offset, b"\x00")
+    with pytest.raises(StateFormatError, match=f"slot without a {name}"):
+        load_state(path)
+
+
+def test_class_of_size_0_is_format_error(tmp_path):
+    path = _crafted(tmp_path, _field(1, "sizes"), np.uint32(0).tobytes())
+    with pytest.raises(StateFormatError, match="invalid record: class of size 0"):
+        load_state(path)
+
+
+def test_unknown_partition_method_code_is_format_error(tmp_path):
+    # the method code sits between the source season and the class count
+    path = _crafted(tmp_path, FIRST_CLASS - 5, b"\x03")
+    with pytest.raises(StateFormatError, match="unknown partition method code 3"):
+        load_state(path)
+
+
+def test_header_length_other_than_the_payload_is_format_error(tmp_path):
+    path = tmp_path / "state.svpc"
+    save_state(_pinned_state(), path)
+    blob = bytearray(path.read_bytes())
+    blob[8:16] = np.uint64(PINNED_SIZE - _HEADER.size + 1).tobytes()
+    path.write_bytes(bytes(blob))
+    with pytest.raises(StateFormatError, match=f"payload length {PINNED_SIZE - _HEADER.size} "
+                                               f"!= header {PINNED_SIZE - _HEADER.size + 1}"):
+        load_state(path)
+
+
 @pytest.mark.parametrize("offset, value, name", [
     (LOSS_1 + 1, np.float64(-0.0), "final_loss"),
     (LOSS_1 + 1, np.float64(0.5), "final_loss"),

@@ -56,15 +56,12 @@ def _random_state(rng, f_dim):
     records = []
     for slot in range(n_slots):
         bits = rng.integers(0, 2, size=mission)
-        if slot == 0 or rng.random() < 0.8:
-            if records and records[-1].model is not None and rng.random() < 0.3:
-                prev = records[-1]  # same model and class count: ties across slots
-                model, partition = prev.model, _partition(rng, prev.model.n_classes)
-            else:
-                k = int(rng.integers(1, 301))
-                model, partition = _model_with_ties(rng, f_dim, k, seed=slot), _partition(rng, k)
+        if records and rng.random() < 0.3:
+            prev = records[-1]  # same model and class count: ties across slots
+            model, partition = prev.model, _partition(rng, prev.model.n_classes)
         else:
-            model, partition = None, None
+            k = int(rng.integers(1, 301))
+            model, partition = _model_with_ties(rng, f_dim, k, seed=slot), _partition(rng, k)
         records.append(ClassifierRecord(history=RetrainHistory(tuple(int(b) for b in bits)),
                                         partition=partition, model=model))
     return EnsembleState(mission=mission, classifiers=tuple(records), capacity=n_slots)
@@ -374,14 +371,16 @@ def test_plan_is_freed_with_its_state():
 
 
 def test_plan_lays_out_the_active_slots_columns():
-    """Base slots 0 and 2 have no columns; slots 1 and 3 have one per class."""
+    """The ST3 filter leaves slots 1 and 3, each with one column per class;
+    slots 0 and 2 have none."""
     rng = np.random.default_rng(51)
     a, b = _partition(rng, 2), _partition(rng, 3)
-    base = ClassifierRecord(RetrainHistory((0, 0, 0, 0)), None, None)
+    other = ClassifierRecord(RetrainHistory((1, 1, 0, 0)), _partition(rng, 4),
+                             init_model(8, 6, 4, seed=0))
     state = EnsembleState(mission=4, capacity=4, classifiers=(
-        base, ClassifierRecord(RetrainHistory((0, 1, 0, 0)), a, init_model(8, 6, 2, seed=1)),
-        base, ClassifierRecord(RetrainHistory((0, 0, 0, 1)), b, init_model(8, 6, 3, seed=3))))
-    plan = vpc_plan(state, StrategyConfig("ST1"))
+        other, ClassifierRecord(RetrainHistory((0, 0, 0, 1)), a, init_model(8, 6, 2, seed=1)),
+        other, ClassifierRecord(RetrainHistory((0, 0, 0, 1)), b, init_model(8, 6, 3, seed=3))))
+    plan = vpc_plan(state, StrategyConfig("ST3", k_bar=4))
     assert plan.slots == (1, 3)
     assert plan.column_slots.tolist() == [1, 1, 3, 3, 3]
     assert plan.column_classes.tolist() == [0, 1, 0, 1, 2]

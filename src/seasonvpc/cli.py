@@ -159,9 +159,6 @@ def _load_seasons(spec: ExperimentSpec) -> list[TrainingSet]:
 def run_experiment(spec: ExperimentSpec, out_dir: Path) -> dict:
     """Execute missions 1..n, evaluate VPC per protocol, write all reports."""
     cfg, label = spec.mission, spec.mission.strategy.label()
-    if not any(h.last_bit() for h in evolve_schedule(cfg.strategy, 1, cfg.capacity).histories):
-        raise UsageError(f"strategy {label} trains no slot in mission 1, so VPC would have "
-                         "no classifier")
     seasons = _load_seasons(spec)
     n_missions = min(spec.missions, len(seasons) - 1)
     _check_kbar(cfg.strategy, n_missions)

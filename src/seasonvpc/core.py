@@ -125,8 +125,10 @@ class TrainingSet:
         n = len(ts)
         if poses.shape != (n, 3):
             raise ValueError(f"poses must be an ({n}, 3) array, got {poses.shape}")
-        if feats.ndim != 2 or len(feats) != n:
-            raise ValueError("feature dimension differs within one dataset")
+        if feats.ndim != 2:
+            raise ValueError(f"features must be a 2-D array, one row per image, got {feats.shape}")
+        if len(feats) != n:
+            raise ValueError(f"count mismatch: {n} images vs {len(feats)} feature rows")
         if not np.all(np.isfinite(poses)):
             raise ValueError("viewpoint components must be finite")
         bad = ~np.isfinite(feats).all(axis=1)

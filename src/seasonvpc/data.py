@@ -149,9 +149,7 @@ def load_features(path, f_dim: int | None = None) -> np.ndarray:
 def associate(timestamps: np.ndarray, poses: np.ndarray, features: np.ndarray, *,
               season_id: int = 1, label: str = "") -> TrainingSet:
     """Join pose and feature rows positionally into a TrainingSet; the
-    counts must be equal."""
-    if len(timestamps) != len(features):
-        raise DataError(f"count mismatch: {len(timestamps)} poses vs {len(features)} features")
+    counts must be equal. Each refusal is a DataError naming the season."""
     try:
         return TrainingSet(season_id=season_id, label=label, timestamps=timestamps,
                            poses=poses, features=features)

@@ -107,9 +107,8 @@ def _slot_seed(cfg: TrainConfig, mission: int, slot: int) -> int:
 def run_adaptation(state: EnsembleState, d: TrainingSet, cfg: MissionConfig) -> EnsembleState:
     """One adaptation mission: schedule, partition the new season once, then
     fine-tune each slot whose new bit is 1 and train the one it spawns, which
-    must train (ValueError otherwise, as under ST2 with n_bar 0). A mission
-    with no new bit 1 does not partition the season. The training set itself
-    is not retained in the result."""
+    every valid strategy trains. A mission with no new bit 1 does not
+    partition the season. The training set is not retained in the result."""
     if d.season_id != state.mission + 1:
         raise ValueError(f"season {d.season_id} does not follow mission {state.mission}")
     if state.capacity != cfg.capacity:
@@ -118,9 +117,6 @@ def run_adaptation(state: EnsembleState, d: TrainingSet, cfg: MissionConfig) -> 
     previous = Schedule(tuple(c.history for c in state.classifiers))
     decision = next_schedule(cfg.strategy, previous, i, cfg.capacity)
     spawned = decision.spawned_slot
-    if spawned is not None and not decision.schedule.histories[spawned].last_bit():
-        raise ValueError(f"strategy {cfg.strategy.label()} leaves slot {spawned} untrained "
-                         f"in mission {i}, which spawns it")
     if any(h.last_bit() for h in decision.schedule.histories):
         partition = build_partition(d, cfg.partition)
         features = d.features.astype(np.float64)

@@ -3,10 +3,10 @@
 Evolution model: the ensemble grows one slot per mission up to a fixed
 capacity. Each mission every surviving slot either fine-tunes on the new
 season's data (bit 1) or sits out (bit 0), and while below capacity one
-fresh slot spawns from the base classifier, itself trained or idle. A
-strategy scores whole schedules; all three objectives decompose per slot,
-so a per-slot greedy argmax equals exhaustive enumeration (the brute-force
-oracle in tests/sched_oracle.py checks this).
+fresh slot spawns, trained on the new season (bit 1 under every valid
+strategy). A strategy scores whole schedules; all three objectives
+decompose per slot, so a per-slot greedy argmax equals exhaustive
+enumeration (the brute-force oracle in tests/sched_oracle.py checks this).
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ STRATEGY_KINDS = ("ST1", "ST2", "ST3")
 class StrategyConfig:
     """Which scheduling objective to maximize, plus its parameter.
 
-    ST2 targets n_bar fine-tunings per slot; ST3 prefers single fine-tunes
-    near training set k_bar and, when st3_filter is set, restricts fusion to
-    the best-matching single-fine-tuned slot.
+    ST2 targets n_bar trainings per slot, its birth included (n_bar >= 1);
+    ST3 prefers single fine-tunes near training set k_bar and, when
+    st3_filter is set, restricts fusion to the best-matching single-fine-tuned slot.
     """
 
     kind: str
@@ -42,8 +42,8 @@ class StrategyConfig:
         if not isinstance(self.st3_filter, bool):
             raise TypeError(f"st3_filter must be true or false, got {self.st3_filter!r}")
         if self.kind == "ST2":
-            if self.n_bar is None or self.n_bar < 0:
-                raise ValueError("ST2 requires n_bar >= 0")
+            if self.n_bar is None or self.n_bar < 1:
+                raise ValueError("ST2 requires n_bar >= 1")
         if self.kind == "ST3":
             if self.k_bar is None or self.k_bar < 1:
                 raise ValueError("ST3 requires k_bar >= 1")

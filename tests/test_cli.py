@@ -81,6 +81,32 @@ def test_run_flag_overrides_reach_report(tmp_path):
     assert all(line.split(",")[4] == "topx" for line in lines[1:])
 
 
+def test_run_on_a_one_place_loop_places_every_query(tmp_path):
+    # one place is one waypoint, not a polygon: every image is within 10 m
+    spec = _spec_file(tmp_path, missions=2)
+    doc = json.loads(spec.read_text())
+    doc["synth"]["n_places"] = 1
+    spec.write_text(json.dumps(doc))
+    assert main(["run", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 0
+    rows = (tmp_path / "out" / "results.csv").read_text().splitlines()[1:]
+    assert {row.split(",")[-1] for row in rows} == {"1.0"}
+
+
+def test_fixed_test_protocol_scores_every_mission_on_the_last_season(tmp_path):
+    # The protocol picks only the test season: training, and so the state,
+    # is the same, and in the last mission both protocols test season 5.
+    outs = {p: tmp_path / p for p in ("next-season", "fixed-test")}
+    for protocol, out in outs.items():
+        assert main(["run", "--seed", "0", "--missions", "4", "--protocol", protocol,
+                     "--out", str(out)]) == 0
+    fixed, nxt = (json.loads((outs[p] / "summary.json").read_text())["missions"]
+                  for p in ("fixed-test", "next-season"))
+    assert [m["test_label"] for m in fixed] == ["synth-season-5"] * 4
+    assert (outs["fixed-test"] / "state.svpc").read_bytes() == \
+        (outs["next-season"] / "state.svpc").read_bytes()
+    assert fixed[-1]["success"] == nxt[-1]["success"]
+
+
 def test_placedef_location_and_incremental(tmp_path):
     out = tmp_path / "pd"
     assert main(["placedef", "--upd", "location", "--td", "18", "--out", str(out),
@@ -185,9 +211,11 @@ def test_no_command_prints_help(capsys):
 
 
 def _two_season_manifest(tmp_path, *, manifest_dim=3, file_dim=3, season_2_id=2,
-                         first_timestamp="0", nan_feature=False, zero_row=None, n_seasons=2):
+                         first_timestamp="0", nan_feature=False, zero_row=None, n_seasons=2,
+                         short_features=False):
     """A manifest of two seasons of four images each, with one field of the
-    input replaced; zero_row zeroes that feature row of season 1."""
+    input replaced; zero_row zeroes that feature row of season 1, and
+    short_features drops the last feature row of season 2."""
     from seasonvpc import write_features
     seasons = []
     for sid in range(1, n_seasons + 1):
@@ -195,7 +223,7 @@ def _two_season_manifest(tmp_path, *, manifest_dim=3, file_dim=3, season_2_id=2,
         if sid == 1:
             rows[0] = first_timestamp + rows[0][rows[0].index(","):]
         (tmp_path / f"p{sid}.csv").write_text("\n".join(rows) + "\n")
-        feats = np.ones((4, file_dim))
+        feats = np.ones((3 if short_features and sid == 2 else 4, file_dim))
         if nan_feature and sid == 2:
             feats[2, 1] = np.nan
         if zero_row is not None and sid == 1:
@@ -253,8 +281,9 @@ def test_placedef_zero_feature_row_under_incremental_is_data_error(tmp_path, cap
     (dict(first_timestamp="1e400"), "non-finite pose component"),
     (dict(first_timestamp="-1e19"), "64-bit range"),
     (dict(manifest_dim=0, file_dim=0), "feature_dim must be >= 1"),
+    (dict(short_features=True), "season 2: count mismatch: 4 images vs 3 feature rows"),
 ], ids=["feature_dim_abc", "season_id_x", "timestamp_inf", "timestamp_1e400",
-        "timestamp_past_int64", "feature_dim_0"])
+        "timestamp_past_int64", "feature_dim_0", "feature_file_one_row_short"])
 def test_run_malformed_manifest_or_poses_is_data_error(tmp_path, capsys, caplog,
                                                        fields, message):
     assert _run_two_season_manifest(tmp_path, **fields) == 2
@@ -455,8 +484,20 @@ MALFORMED_INPUTS = {
     "partition_t_d_past_float": (RUN_SPEC, _set("partition", "t_d", 10**400)),
     "train_learning_rate_past_float": (RUN_SPEC, _set("train", "learning_rate", 10**400)),
     "strategy_never_trains": ([*RUN_SPEC, "--strategy", "ST2", "--nbar", "0"], None),
+    "schedule_strategy_never_trains": (["schedule", "--strategy", "ST2", "--nbar", "0"], None),
     "synth_place_signal_past_float32": (RUN_SPEC, _set("synth", "place_signal", 1e300)),
     "synth_noise_past_float32": (RUN_SPEC, _set("synth", "noise", 1e300)),
+    "missions_0": (RUN_SPEC, _set(None, "missions", 0)),
+    "protocol_weekly": (RUN_SPEC, _set(None, "protocol", "weekly")),
+    "train_learning_rate_0": (RUN_SPEC, _set("train", "learning_rate", 0)),
+    "train_epochs_negative": (RUN_SPEC, _set("train", "epochs", -1)),
+    "partition_t_d_0": (RUN_SPEC, _set("partition", "t_d", 0)),
+    "partition_k_0": (RUN_SPEC, _partition(k=0)),
+    "partition_kmeans_iters_0": (RUN_SPEC, _partition(kmeans_iters=0)),
+    "partition_feat_max_0": (RUN_SPEC, _set("partition", "feat_max", 0)),
+    "synth_n_places_0": (RUN_SPEC, _set("synth", "n_places", 0)),
+    "synth_loop_length_0": (RUN_SPEC, _set("synth", "loop_length", 0)),
+    "synth_noise_negative": (RUN_SPEC, _set("synth", "noise", -1)),
 }
 
 

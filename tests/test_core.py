@@ -147,8 +147,11 @@ def test_training_set_validates_order_and_ids():
         _season(poses=[[0.0, 0.0, 0.0], [np.nan, 0.0, 0.0], [1.0, 0.0, 0.0]])
     with pytest.raises(ValueError, match="poses"):
         _season(poses=np.zeros((2, 3)))
-    with pytest.raises(ValueError, match="feature dimension"):
+    with pytest.raises(ValueError, match=r"features must be a 2-D array, one row per image, "
+                                         r"got \(3,\)"):
         _season(features=np.ones(3))
+    with pytest.raises(ValueError, match="count mismatch: 3 images vs 2 feature rows"):
+        _season(features=np.zeros((2, 4)))
     with pytest.raises(ValueError, match="season_id"):
         TrainingSet(season_id=0, label="s", timestamps=[0], poses=[[0.0, 0.0, 0.0]],
                     features=[[1.0]])

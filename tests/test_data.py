@@ -177,7 +177,7 @@ def test_associate_strict():
     train = associate(*_poses(3), feats, season_id=2, label="s")
     assert train.season_id == 2
     assert [img.id for img in train.images] == [0, 1, 2]
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="season 1: count mismatch: 4 images vs 3 feature rows"):
         associate(*_poses(4), feats)
 
 

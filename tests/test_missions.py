@@ -98,19 +98,6 @@ def test_adaptation_refuses_a_config_of_another_capacity():
         run_adaptation(initial_state(4), seasons[0], cfg)
 
 
-def test_adaptation_refuses_to_spawn_an_untrained_slot():
-    # ST2 with n_bar 0 spawns each slot with bit 0; a state holds only
-    # trained slots, so the mission that spawns one is refused.
-    seasons = _synth(3)
-    st2 = _mc(StrategyConfig("ST2", n_bar=0))
-    with pytest.raises(ValueError, match=r"strategy ST2\(nbar=0\) leaves slot 0 untrained "
-                                         r"in mission 1"):
-        run_adaptation(initial_state(4), seasons[0], st2)
-    state = run_adaptation(initial_state(4), seasons[0], _mc(StrategyConfig("ST1")))
-    with pytest.raises(ValueError, match=r"leaves slot 1 untrained in mission 2"):
-        run_adaptation(state, seasons[1], st2)
-
-
 def test_mission_config_refuses_a_repeated_threshold():
     for thresholds, named in (((10.0, 10.0), "10.0"), ((10, 20.0, 10.0), "10.0"),
                               ((20.0, 10.0, 10), "10")):
@@ -498,6 +485,23 @@ while True:
     save_state(states[i % 2], sys.argv[1])
     i += 1
 """
+
+
+def test_importing_the_package_leaves_out_the_cli_and_logging():
+    # A cold `import seasonvpc` is most of accept-sweep's setup_s. With
+    # -X importtime on a 2-CPU Xeon host, cumulative: logging 3.1-5.1 ms,
+    # argparse 2.8-3.1 ms, seasonvpc.cli with seasonvpc.report 15.0-15.2 ms,
+    # against setup_s medians of 0.127-0.146 s. So the package imports none
+    # of them; run_adaptation imports logging only when it has a warning.
+    tests = Path(__file__).resolve().parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(tests.parent / "src"), os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, seasonvpc; print(*(m for m in ('logging', 'argparse', 'seasonvpc.cli', "
+            "'seasonvpc.report') if m in sys.modules))")
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                           text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.split() == []
 
 
 def test_state_file_survives_a_kill_during_save(tmp_path):

@@ -14,6 +14,7 @@ from seasonvpc import (
     st3_fusion_filter,
     weight_vector,
 )
+from seasonvpc.missions import MAX_CAPACITY
 from seasonvpc.sched import slot_score
 
 from sched_oracle import feasible_extensions, next_schedule_bruteforce
@@ -39,6 +40,8 @@ def test_strategy_config_validation():
         StrategyConfig("ST4")
     with pytest.raises(ValueError):
         StrategyConfig("ST2")
+    with pytest.raises(ValueError, match=r"ST2 requires n_bar >= 1"):
+        StrategyConfig("ST2", n_bar=0)
     with pytest.raises(ValueError):
         StrategyConfig("ST3", k_bar=0)
 
@@ -113,8 +116,19 @@ def test_bruteforce_mission_one_cases():
     d = next_schedule_bruteforce(ST1, Schedule(()), 1, 4)
     assert d.schedule.bit_strings() == ["1"]
     assert d.spawned_slot == 0 and d.schedule.histories[0].last_bit() == 1
-    d = next_schedule_bruteforce(ST2(0), Schedule(()), 1, 4)
-    assert d.schedule.bit_strings() == ["0"]
+
+
+def test_every_valid_strategy_trains_the_slot_it_spawns():
+    # A state holds only trained slots, so the slot a mission spawns must
+    # get bit 1. A slot spawns only below capacity <= MAX_CAPACITY, so at
+    # mission i <= MAX_CAPACITY; k_bar past every such mission is clamped.
+    strategies = [ST1, *map(ST2, range(1, 6)), *map(ST3, range(1, MAX_CAPACITY + 2))]
+    for i in range(1, MAX_CAPACITY + 1):
+        previous = Schedule((RetrainHistory((1,) + (0,) * (i - 2)),) if i > 1 else ())
+        for strat in strategies:
+            d = next_schedule(strat, previous, i, 2)
+            spawned = d.schedule.histories[d.spawned_slot]
+            assert spawned.last_bit() == 1, (strat.label(), i)
 
 
 def test_bruteforce_enumeration_bound():

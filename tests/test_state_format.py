@@ -202,9 +202,14 @@ def test_slot_without_a_model_or_partition_is_format_error(tmp_path, offset, nam
         load_state(path)
 
 
-def test_class_of_size_0_is_format_error(tmp_path):
-    path = _crafted(tmp_path, _field(1, "sizes"), np.uint32(0).tobytes())
-    with pytest.raises(StateFormatError, match="invalid record: class of size 0"):
+# The capacity follows the mission in the payload's counts.
+@pytest.mark.parametrize("offset, data, message", [
+    (_field(1, "sizes"), np.uint32(0), "class of size 0"),
+    (8, np.uint64(0), "capacity must be >= 1"),
+], ids=["class_size_0", "capacity_0"])
+def test_value_a_core_type_refuses_is_an_invalid_record(tmp_path, offset, data, message):
+    path = _crafted(tmp_path, offset, data.tobytes())
+    with pytest.raises(StateFormatError, match=f"invalid record: {message}"):
         load_state(path)
 
 

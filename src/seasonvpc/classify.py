@@ -44,7 +44,8 @@ class ModelParams:
     Models built by this package keep their four arrays in one block, each
     starting on an ALIGN-byte boundary (`_block`); the class itself accepts
     any arrays. final_loss and seed are training metadata carried for
-    reporting and serialization; they do not affect predictions.
+    reporting and serialization; they do not affect predictions. A model in
+    a `ClassifierRecord` carries both.
     """
 
     w1: np.ndarray  # (H, F)
@@ -106,9 +107,10 @@ def _in_block(w1: np.ndarray, b1: np.ndarray, w2: np.ndarray, b2: np.ndarray,
 
 
 def model_from_flat(values: np.ndarray, f_dim: int, hidden: int, n_classes: int,
-                    final_loss: float | None = None, seed: int | None = None) -> ModelParams:
+                    final_loss: float, seed: int) -> ModelParams:
     """A model whose w1, b1, w2 and b2 are stored back to back in the 1-D
-    `values` (e.g. a view of a state file), copied into one aligned block."""
+    `values` (e.g. a view of a state file), copied into one aligned block,
+    with the final_loss and seed it was trained with."""
     w1, b1, w2, b2 = np.split(values, np.cumsum([hidden * f_dim, hidden, n_classes * hidden]))
     return _in_block(w1.reshape(hidden, f_dim), b1, w2.reshape(n_classes, hidden), b2,
                      final_loss=final_loss, seed=seed)[1]

@@ -15,9 +15,10 @@ from pathlib import Path
 
 from . import report
 from .classify import DivergenceError, TrainConfig
-from .core import TrainingSet, require_integers
+from .core import MAX_SEED, TrainingSet, require_integers
 from .data import DataError, SynthConfig, load_bundle, load_manifest, read_json, synth_generate
-from .missions import SUCCESS_MODES, MissionConfig, StateFormatError, initial_state, run_season
+from .missions import (SUCCESS_MODES, MissionConfig, StateFormatError, _slot_seed, initial_state,
+                       run_season)
 from .placedef import PARTITION_METHODS, PartitionConfig, build_partition, incremental_margins
 from .sched import STRATEGY_KINDS, Schedule, StrategyConfig, evolve_schedule
 
@@ -152,8 +153,9 @@ def _load_seasons(spec: ExperimentSpec) -> list[TrainingSet]:
     try:
         return synth_generate(replace(spec.synth, n_seasons=spec.missions + 1))
     except ValueError as exc:
-        raise UsageError(f"synth: {exc}: place_signal, season_drift and noise must keep "
-                         "the features within float32") from exc
+        raise UsageError(f"synth: {exc}: loop_length and pose_jitter must keep the poses "
+                         "finite, and place_signal, season_drift and noise the features within "
+                         "float32") from exc
 
 
 def run_experiment(spec: ExperimentSpec, out_dir: Path) -> dict:
@@ -163,6 +165,10 @@ def run_experiment(spec: ExperimentSpec, out_dir: Path) -> dict:
     n_missions = min(spec.missions, len(seasons) - 1)
     _check_kbar(cfg.strategy, n_missions)
     _check_partition(cfg.partition, seasons[:n_missions])
+    largest = _slot_seed(cfg.train, n_missions, cfg.capacity - 1)
+    if largest > MAX_SEED:  # a state file could not store that slot's seed
+        raise UsageError(f"seed {spec.seed} is too large: {n_missions} missions at capacity "
+                         f"{cfg.capacity} allow seeds up to {MAX_SEED - largest + spec.seed}")
     out_dir.mkdir(parents=True, exist_ok=True)
     state = initial_state(cfg.capacity)
     rows: list[dict] = []

@@ -22,6 +22,7 @@ if TYPE_CHECKING:
     from .classify import ModelParams
 
 TAU = 2.0 * math.pi
+MAX_SEED = 2**63 - 1  # the largest seed a state file stores (signed 64-bit)
 
 
 def _require(config, names: tuple[str, ...], cls: type, kind: str) -> None:
@@ -131,6 +132,9 @@ class TrainingSet:
             raise ValueError(f"count mismatch: {n} images vs {len(feats)} feature rows")
         if not np.all(np.isfinite(poses)):
             raise ValueError("viewpoint components must be finite")
+        # Summed in order, these bound every class centroid's sums and every step.
+        if not all(math.isfinite(sum(map(abs, c))) for c in poses[:, :2].T.tolist()):
+            raise ValueError("the sum of |x| or of |y| over the season is not finite")
         bad = ~np.isfinite(feats).all(axis=1)
         if bad.any():
             raise ValueError(f"non-finite feature at index {int(np.argmax(bad))}")
@@ -354,7 +358,8 @@ def membership_labels(partition: PlacePartition, n_images: int) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class ClassifierRecord:
     """One trained ensemble slot: retrain history, the partition summary of
-    the season it last trained on, and its model."""
+    the season it last trained on, and its model, which carries the
+    final_loss and the seed (0..MAX_SEED) it was trained with."""
 
     history: RetrainHistory
     partition: PartitionSummary
@@ -362,6 +367,9 @@ class ClassifierRecord:
 
     def __post_init__(self) -> None:
         m = self.model
+        if m.final_loss is None or m.seed is None or not 0 <= m.seed <= MAX_SEED:
+            raise ValueError(f"a slot's model needs a final_loss and a seed in 0..{MAX_SEED}, "
+                             f"got {m.final_loss} and {m.seed}")
         if m.n_classes != len(self.partition.sizes):
             raise ValueError(f"partition of {len(self.partition.sizes)} classes for a "
                              f"model of {m.n_classes}")

@@ -269,13 +269,12 @@ def run_season(state: EnsembleState, train: TrainingSet, test: TrainingSet, cfg:
 # counts (capacity, mission, class counts, model dimensions), never on the
 # amount of data each season contained.
 
+# A slot: history length and bits, _MODEL, the model's parameters, _TAIL, the
+# partition's class records. Each flag (presence byte) is 1: no field is optional.
 _COUNTS = Struct("<QQI")  # mission, capacity, records
 _U32 = Struct("<I")
-_FLAG = Struct("<B")
-_DIMS = Struct("<III")  # feature_dim, hidden, n_classes
-_LOSS = Struct("<Bd")  # present, final_loss
-_SEED = Struct("<Bq")  # present, seed
-_PARTITION = Struct("<IBI")  # source_season, method code (index in PARTITION_METHODS), classes
+_MODEL = Struct("<BIII")  # flag, feature_dim, hidden, n_classes
+_TAIL = Struct("<BdBqBIBI")  # flag, final_loss, flag, seed, flag, source_season, method, classes
 _U8 = np.dtype("u1")
 _F64 = np.dtype("<f8")
 
@@ -286,18 +285,12 @@ def _serialize(state: EnsembleState) -> bytes:
         parts.append(_U32.pack(len(rec.history)))
         parts.append(bytes(rec.history.bits))
         m, p = rec.model, rec.partition
-        parts.append(_FLAG.pack(1))  # model present: every slot is trained
-        parts.append(_DIMS.pack(m.feature_dim, m.hidden, m.n_classes))
+        parts.append(_MODEL.pack(1, m.feature_dim, m.hidden, m.n_classes))
         # Each array itself when it is already contiguous little-endian
         # float64: bytes.join copies it once, with no intermediate bytes.
         parts.extend(np.ascontiguousarray(a, dtype=_F64) for a in (m.w1, m.b1, m.w2, m.b2))
-        has_loss = m.final_loss is not None
-        parts.append(_LOSS.pack(int(has_loss), m.final_loss if has_loss else 0.0))
-        has_seed = m.seed is not None
-        parts.append(_SEED.pack(int(has_seed), m.seed if has_seed else 0))
-        parts.append(_FLAG.pack(1))  # partition present
-        parts.append(_PARTITION.pack(p.source_season, PARTITION_METHODS.index(p.method),
-                                     len(p.rows)))
+        parts.append(_TAIL.pack(1, m.final_loss, 1, m.seed, 1, p.source_season,
+                                PARTITION_METHODS.index(p.method), len(p.rows)))
         parts.append(p.rows)
     return b"".join(parts)
 
@@ -321,19 +314,11 @@ class _Reader:
         """A read-only view of the next `count` items of `dtype`."""
         return np.frombuffer(self.blob, dtype, count, self._advance(dtype.itemsize * count))
 
-    def optional(self, s: Struct, name: str):
-        """The next optional field `s`: a presence byte, 0 or 1, then the
-        field's value, whose bytes are zero when the byte is 0. The value, or
-        True for a bare presence byte (`_FLAG`); None when absent."""
-        start = self.pos
-        present, *value = self.take(s)
-        if present > 1:
-            raise StateFormatError(f"{name} presence byte is {present}, not 0 or 1")
-        if not present:
-            if any(self.blob[start + 1:self.pos]):
-                raise StateFormatError(f"absent {name} has non-zero value bytes")
-            return None
-        return value[0] if value else True
+
+def _present(**flags: int) -> None:
+    for name, b in flags.items():
+        if b != 1:
+            raise StateFormatError(f"{name} presence byte is {b}, not 1")
 
 
 def _deserialize(blob: bytes | memoryview) -> EnsembleState:
@@ -343,21 +328,18 @@ def _deserialize(blob: bytes | memoryview) -> EnsembleState:
     for _ in range(n_records):
         (hist_len,) = r.take(_U32)
         history = RetrainHistory(tuple(r.array(_U8, hist_len).tolist()))
-        if not r.optional(_FLAG, "model"):
-            raise StateFormatError("slot without a model")
-        f_dim, hidden, n_classes = r.take(_DIMS)
+        has_model, f_dim, hidden, n_classes = r.take(_MODEL)
+        _present(model=has_model)
         if min(f_dim, hidden, n_classes) < 1:
             raise StateFormatError("model dimensions must be >= 1")
         # w1, b1, w2, b2 back to back. Python ints: a product of crafted u32
         # dimensions cannot wrap, and array() checks the length before
         # anything is allocated.
         params = r.array(_F64, hidden * f_dim + hidden + n_classes * hidden + n_classes)
-        model = model_from_flat(params, f_dim, hidden, n_classes,
-                                final_loss=r.optional(_LOSS, "final_loss"),
-                                seed=r.optional(_SEED, "seed"))
-        if not r.optional(_FLAG, "partition"):
-            raise StateFormatError("slot without a partition")
-        source_season, method_code, n_classes_p = r.take(_PARTITION)
+        (has_loss, loss, has_seed, seed, has_partition, source_season, method_code,
+         n_classes_p) = r.take(_TAIL)
+        _present(final_loss=has_loss, seed=has_seed, partition=has_partition)
+        model = model_from_flat(params, f_dim, hidden, n_classes, final_loss=loss, seed=seed)
         if method_code >= len(PARTITION_METHODS):
             raise StateFormatError(f"unknown partition method code {method_code}")
         partition = PartitionSummary(r.array(CLASS_RECORD, n_classes_p), source_season,

@@ -212,14 +212,16 @@ def test_no_command_prints_help(capsys):
 
 def _two_season_manifest(tmp_path, *, manifest_dim=3, file_dim=3, season_2_id=2,
                          first_timestamp="0", nan_feature=False, zero_row=None, n_seasons=2,
-                         short_features=False):
+                         short_features=False, x_2=None):
     """A manifest of two seasons of four images each, with one field of the
-    input replaced; zero_row zeroes that feature row of season 1, and
-    short_features drops the last feature row of season 2."""
+    input replaced; zero_row zeroes that feature row of season 1,
+    short_features drops the last feature row of season 2, and x_2 places
+    every image of season 2 at that x."""
     from seasonvpc import write_features
     seasons = []
     for sid in range(1, n_seasons + 1):
-        rows = [f"{t * 1_000_000},{3.0 * t!r},0.0,0.0" for t in range(4)]
+        xs = [x_2 if x_2 is not None and sid == 2 else 3.0 * t for t in range(4)]
+        rows = [f"{t * 1_000_000},{x!r},0.0,0.0" for t, x in enumerate(xs)]
         if sid == 1:
             rows[0] = first_timestamp + rows[0][rows[0].index(","):]
         (tmp_path / f"p{sid}.csv").write_text("\n".join(rows) + "\n")
@@ -260,6 +262,22 @@ def test_run_zero_feature_row_under_incremental_is_data_error(tmp_path, capsys, 
     assert "data error" in err and "season 1: feature row 1 is all zero" in err
     assert "Traceback" not in err + caplog.text
     assert _run_two_season_manifest(tmp_path, "--upd", "location", zero_row=1) == 0
+
+
+def test_run_poses_whose_sum_overflows_are_data_error(tmp_path, capsys, caplog):
+    # each x is finite, but a class centroid's sum of them is not
+    assert _run_two_season_manifest(tmp_path, x_2=1e308) == 2
+    err = capsys.readouterr().err
+    assert "data error: season 2: the sum of |x| or of |y| over the season is not finite" in err
+    assert "Traceback" not in err + caplog.text
+
+
+@pytest.mark.parametrize("field", ["pose_jitter", "loop_length"])
+def test_synth_poses_past_float_name_the_pose_fields(tmp_path, capsys, caplog, field):
+    assert _main_on_spec(tmp_path, RUN_SPEC, _set("synth", field, 1e308)) == 1
+    err = capsys.readouterr().err
+    assert "usage error: synth:" in err and "pose_jitter must keep the poses finite" in err
+    assert "Traceback" not in err + caplog.text
 
 
 def test_placedef_zero_feature_row_under_incremental_is_data_error(tmp_path, capsys, caplog):
@@ -526,6 +544,24 @@ def test_negative_seed_is_refused_by_name(tmp_path, capsys, argv, edit):
     assert "usage error" in err and "seed must be >= 0" in err
     assert "kmeans_iters" not in err
     assert not (tmp_path / "out").exists()
+
+
+# The largest seed a one-mission run at capacity 4 allows: its last slot's
+# seed, seed + 100 * 1 + 3, is the largest a state file stores, 2**63 - 1.
+LARGEST_SEED = 2**63 - 1 - 103
+
+
+def test_seed_whose_slot_seeds_overflow_int64_is_usage_error(tmp_path, capsys, caplog):
+    for seed in (LARGEST_SEED + 1, 2**63 - 1):
+        assert _main_on_spec(tmp_path, [*RUN_SPEC, "--missions", "1", "--seed", str(seed)]) == 1
+        err = capsys.readouterr().err
+        assert f"usage error: seed {seed} is too large: 1 missions at capacity 4 allow seeds " \
+            f"up to {LARGEST_SEED}" in err
+        assert "Traceback" not in err + caplog.text
+        assert not (tmp_path / "out").exists()
+    assert _main_on_spec(tmp_path, [*RUN_SPEC, "--missions", "1", "--seed", str(LARGEST_SEED)]) == 0
+    assert [rec.model.seed for rec in load_state(tmp_path / "out" / "state.svpc").classifiers] \
+        == [2**63 - 1 - 3]
 
 
 IGNORED_SPEC_VALUES = {

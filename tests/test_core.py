@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -276,10 +277,21 @@ def test_partition_summary_refuses_rows_of_another_dtype_and_empty_classes():
 
 def test_classifier_record_refuses_a_non_finite_parameter_and_a_class_count_mismatch():
     history = RetrainHistory((1,))
-    model = init_model(3, 2, 1)
+    model = replace(init_model(3, 2, 1), final_loss=0.0)
     ClassifierRecord(history, _summary(), model)
     model.b2[0] = math.nan
     with pytest.raises(ValueError, match="non-finite model parameter"):
         ClassifierRecord(history, _summary(), model)
     with pytest.raises(ValueError, match="partition of 1 classes for a model of 2"):
-        ClassifierRecord(history, _summary(), init_model(3, 2, 2))
+        ClassifierRecord(history, _summary(), replace(init_model(3, 2, 2), final_loss=0.0))
+
+
+@pytest.mark.parametrize("final_loss, seed", [(None, 0), (0.5, None), (0.5, -1), (0.5, 2**63)],
+                         ids=["no_final_loss", "no_seed", "seed_negative", "seed_past_int64"])
+def test_classifier_record_refuses_a_model_without_its_final_loss_and_int64_seed(final_loss,
+                                                                                  seed):
+    model = replace(init_model(3, 2, 1), final_loss=final_loss, seed=seed)
+    with pytest.raises(ValueError, match="a final_loss and a seed in 0..9223372036854775807"):
+        ClassifierRecord(RetrainHistory((1,)), _summary(), model)
+    largest = replace(model, final_loss=0.5, seed=2**63 - 1)
+    ClassifierRecord(RetrainHistory((1,)), _summary(), largest)

@@ -467,7 +467,7 @@ def desk_state(seed: int) -> EnsembleState:
     summary = PartitionSummary(rows, source_season=1, method="location")
     return EnsembleState(mission=4, capacity=4, classifiers=tuple(
         ClassifierRecord(RetrainHistory.from_string(bits), summary,
-                         init_model(4096, 64, k, seed=10 * seed + slot))
+                         replace(init_model(4096, 64, k, seed=10 * seed + slot), final_loss=0.0))
         for slot, bits in enumerate(("1000", "0100", "0010", "0001"))))
 
 

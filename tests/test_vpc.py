@@ -3,6 +3,7 @@ to batch size."""
 
 import gc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -40,6 +41,11 @@ def _partition(rng, k):
     return PartitionSummary(rows, source_season=1, method="location")
 
 
+def _trained(m):
+    """`m` with the final_loss that a record's model carries."""
+    return replace(m, final_loss=0.0)
+
+
 def _model_with_ties(rng, f_dim, k, seed):
     """A random model whose zeroed head rows share a bias: those classes get
     exactly equal probabilities. weight_scale 0 makes every class tie."""
@@ -47,7 +53,7 @@ def _model_with_ties(rng, f_dim, k, seed):
     tied = rng.random(k) < 0.4
     m.w2[tied] = 0.0
     m.b2[tied] = float(rng.choice([0.0, 0.3]))
-    return m
+    return _trained(m)
 
 
 def _random_state(rng, f_dim):
@@ -212,7 +218,7 @@ def _stack_of(models):
     s = len(models)
     state = EnsembleState(mission=s, capacity=s, classifiers=tuple(
         ClassifierRecord(RetrainHistory(tuple(int(i == j) for i in range(s))),
-                         _partition(rng, m.n_classes), m) for j, m in enumerate(models)))
+                         _partition(rng, m.n_classes), _trained(m)) for j, m in enumerate(models)))
     return vpc_plan(state, StrategyConfig("ST1")).stack
 
 
@@ -248,8 +254,8 @@ def _wide_state(f_dim, seed):
     for slot, k in enumerate((50, 7)):
         bits = (1, 0) if slot == 0 else (0, 1)
         records.append(ClassifierRecord(history=RetrainHistory(bits), partition=_partition(rng, k),
-                                        model=init_model(f_dim, 64, k, seed=seed + slot,
-                                                         weight_scale=0.05)))
+                                        model=_trained(init_model(f_dim, 64, k, seed=seed + slot,
+                                                                  weight_scale=0.05))))
     return EnsembleState(mission=2, classifiers=tuple(records), capacity=2)
 
 
@@ -283,7 +289,8 @@ def test_feature_dimension_mismatch_raises():
 def test_slots_of_different_feature_dimensions_are_refused_at_plan_build():
     rng = np.random.default_rng(8)
     state = EnsembleState(mission=2, capacity=2, classifiers=tuple(
-        ClassifierRecord(RetrainHistory(bits), _partition(rng, 4), init_model(f, 6, 4, seed=f))
+        ClassifierRecord(RetrainHistory(bits), _partition(rng, 4),
+                         _trained(init_model(f, 6, 4, seed=f)))
         for f, bits in ((16, (1, 0)), (15, (0, 1)))))
     cfg = MissionConfig(strategy=StrategyConfig("ST1"))
     with pytest.raises(ValueError, match="model 0: 16, model 1: 15"):
@@ -376,10 +383,12 @@ def test_plan_lays_out_the_active_slots_columns():
     rng = np.random.default_rng(51)
     a, b = _partition(rng, 2), _partition(rng, 3)
     other = ClassifierRecord(RetrainHistory((1, 1, 0, 0)), _partition(rng, 4),
-                             init_model(8, 6, 4, seed=0))
+                             _trained(init_model(8, 6, 4, seed=0)))
     state = EnsembleState(mission=4, capacity=4, classifiers=(
-        other, ClassifierRecord(RetrainHistory((0, 0, 0, 1)), a, init_model(8, 6, 2, seed=1)),
-        other, ClassifierRecord(RetrainHistory((0, 0, 0, 1)), b, init_model(8, 6, 3, seed=3))))
+        other, ClassifierRecord(RetrainHistory((0, 0, 0, 1)), a,
+                                _trained(init_model(8, 6, 2, seed=1))),
+        other, ClassifierRecord(RetrainHistory((0, 0, 0, 1)), b,
+                                _trained(init_model(8, 6, 3, seed=3)))))
     plan = vpc_plan(state, StrategyConfig("ST3", k_bar=4))
     assert plan.slots == (1, 3)
     assert plan.column_slots.tolist() == [1, 1, 3, 3, 3]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
@@ -150,29 +150,40 @@ class TrainingSet:
 
     @property
     def images(self) -> "SeasonRows":
-        """The season as per-image rows."""
+        """The season as per-image rows, a new view on each read."""
         return SeasonRows(self)
 
 
 @dataclass(frozen=True)
 class SeasonRows(Sequence):
-    """A season's images as `MappedImage` rows, each built when it is read.
-    `len()` builds none and no row is kept: building every row for a length
-    query slowed the next `run_vpc` (garbage-collector work), and keeping
-    them raised peak RSS."""
+    """A season's images as `MappedImage` rows. `len()` builds none, and the
+    batch path (`missions.run_vpc`, `success_ratio`) reads the season's
+    columns and builds none; a row built by indexing stays on the view, so
+    `view[i] is view[i]` (concurrent first reads may each build an equal
+    row). Building every row for a length query slowed the next `run_vpc`
+    (garbage-collector work), and rebuilding a row on each read slowed the
+    locate calls, which send one row per call."""
 
     season: TrainingSet
+    _rows: list = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_rows", [None] * len(self.season))
 
     def __len__(self) -> int:
-        return len(self.season)
+        return len(self._rows)
 
     def __getitem__(self, i):
-        i = range(len(self.season))[i]  # negative indices, slices, IndexError
-        if isinstance(i, range):
-            return [self[j] for j in i]
-        s = self.season
-        return MappedImage(id=i, timestamp=int(s.timestamps[i]),
-                           viewpoint=Viewpoint(*s.poses[i].tolist()), feature=s.features[i])
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self._rows))[i]]
+        row = self._rows[i]  # negative indices, IndexError
+        if row is None:
+            i = range(len(self._rows))[i]
+            s = self.season
+            row = self._rows[i] = MappedImage(
+                id=i, timestamp=int(s.timestamps[i]), viewpoint=Viewpoint(*s.poses[i].tolist()),
+                feature=s.features[i])
+        return row
 
 
 def step_lengths(poses: np.ndarray) -> list[float]:

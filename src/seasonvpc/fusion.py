@@ -47,13 +47,13 @@ class FusedResult:
 
 # A batch of rows at least this many times wider than x is ranked by
 # selection (`_partial_order`). At x 10 (x86-64) a full stable sort took
-# 19 us for 100 x 20, 82 us for 100 x 40 and 199 us for 100 x 80; selection
-# 74, 93 and 104 us. At 500 x 400 it was 9.2 against 2.5 ms. A single row
-# always sorts in full: 7 us against 20 us at 400 columns. In the
-# benchmark at x 10, every desk-4096-loc batch (500 x 100 to 400) and
-# accept-sweep's 4-slot batches (100 x 80, 9% of its batch calls) are
-# ranked by selection; its 1- to 3-slot batches sort in full.
-PARTIAL_WIDTH = 8
+# 13, 94-102, 166-172 and 255-301 us for 100 x 20, 40, 60 and 80; selection
+# 65, 85-92, 98-116 and 169-191 us, so 4 x, where the two overlap, stays a
+# full sort. At 500 x 400 it was 12-14 against 4-5 ms. A single row always
+# sorts in full: 11 us against 31 us at 400 columns. In the benchmark at
+# x 10, every desk-4096-loc batch (500 x 100 to 400) and accept-sweep's 3-
+# and 4-slot batches (100 x 60 and 80) are ranked by selection.
+PARTIAL_WIDTH = 6
 
 
 def _order(probs: np.ndarray, x: int) -> np.ndarray:
@@ -96,9 +96,10 @@ def top_x(probs: np.ndarray, x: int) -> np.ndarray:
     """
     if x < 1:
         raise ValueError("x must be >= 1")
-    # NaN compares false, so this rejects it too; an unchecked sort would put
-    # NaN last and answer from the other slots.
-    if not ((probs >= 0.0) & (probs <= 1.0)).all():
+    # Two reductions refuse what the elementwise test would: min and max
+    # propagate NaN, and NaN compares false, so NaN is refused too (an
+    # unchecked sort would put it last and answer from the other slots).
+    if probs.size and not (probs.min() >= 0.0 and probs.max() <= 1.0):
         raise ValueError("probabilities must be finite and in [0, 1]")
     return _order(probs, x)
 

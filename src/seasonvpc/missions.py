@@ -24,6 +24,7 @@ from .core import (
     MappedImage,
     PartitionSummary,
     RetrainHistory,
+    SeasonRows,
     TrainingSet,
     _read_only,
     membership_labels,
@@ -86,10 +87,24 @@ class MissionConfig:
             raise ValueError("success_mode must be rank1 or topx")
 
 
-def queries_from_set(test_set: TrainingSet) -> list[MappedImage]:
-    """A test season's rows as global-localization queries: each carries its
-    feature vector and its mapped (ground-truth) viewpoint."""
-    return list(test_set.images)
+def queries_from_set(test_set: TrainingSet) -> SeasonRows:
+    """A test season as global-localization queries: its row view, each row
+    carrying a feature vector and a mapped (ground-truth) viewpoint."""
+    return test_set.images
+
+
+# The queries' features and ground-truth x, y: a season view's columns, or
+# read row by row from MappedImage rows (a locate call's [row], a slice).
+def _query_features(queries: Sequence[MappedImage]) -> np.ndarray:
+    if isinstance(queries, SeasonRows):
+        return queries.season.features
+    return np.array([q.feature for q in queries], dtype=np.float64)
+
+
+def _query_xy(queries: Sequence[MappedImage]) -> np.ndarray:
+    if isinstance(queries, SeasonRows):
+        return queries.season.poses[:, :2]
+    return np.array([(q.viewpoint.x, q.viewpoint.y) for q in queries])
 
 
 def initial_state(capacity: int) -> EnsembleState:
@@ -209,7 +224,8 @@ def run_vpc(state: EnsembleState, queries: Sequence[MappedImage],
 
     One forward pass over all queries through the active slots'
     `ModelStack`, then one ranking of its probability rows, gathered from
-    the state's `vpc_plan` into a columnar `Ranking`. Each query's row is
+    the state's `vpc_plan` into a columnar `Ranking`; a season view's
+    feature column goes to `predict` as it is. Each query's row is
     identical to ranking each slot's classes and fusing the lists (`fuse`),
     and does not depend on the other queries in the batch. Pure with
     respect to the state's fields; deterministic.
@@ -219,8 +235,7 @@ def run_vpc(state: EnsembleState, queries: Sequence[MappedImage],
     plan = vpc_plan(state, cfg.strategy)
     if not queries:
         return Ranking.empty()
-    features = np.array([q.feature for q in queries], dtype=np.float64)
-    probs = predict(plan.stack, features)
+    probs = predict(plan.stack, _query_features(queries))
     order = top_x(probs, cfg.fusion_x)
     return Ranking(slots=plan.column_slots[order], classes=plan.column_classes[order],
                    probabilities=probs[np.arange(len(order))[:, None], order],
@@ -230,14 +245,15 @@ def run_vpc(state: EnsembleState, queries: Sequence[MappedImage],
 def success_ratio(results: Ranking, queries: Sequence[MappedImage],
                   error: float, mode: str = "rank1") -> float:
     """Fraction of queries whose predicted place lies within `error` meters
-    of ground truth (rank-1 candidate, or any candidate for mode "topx")."""
+    of ground truth (rank-1 candidate, or any candidate for mode "topx"),
+    read from a season view's x and y pose columns."""
     if not len(results) or len(results) != len(queries):
         raise ValueError("results and queries must be non-empty and aligned")
     if mode not in SUCCESS_MODES:
         raise ValueError("mode must be rank1 or topx")
     if not _is_threshold(error):
         raise ValueError(f"error must be a positive and finite number, got {error!r}")
-    truth = np.array([(q.viewpoint.x, q.viewpoint.y) for q in queries])
+    truth = _query_xy(queries)
     xy = results.poses[:, :1, :2] if mode == "rank1" else results.poses[..., :2]
     d = xy - truth[:, None, :]
     # math.hypot as core.viewpoint_distance takes it: np.hypot differs in

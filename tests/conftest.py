@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from seasonvpc import TrainingSet
+from seasonvpc import MappedImage, TrainingSet
 
 TESTS = Path(__file__).resolve().parent
 
@@ -58,3 +58,18 @@ def season_from_xy(xy, features=None, theta=None, label="walk", season_id=1):
 @pytest.fixture
 def line7():
     return line_training_set(7)
+
+
+@pytest.fixture
+def built_rows(monkeypatch):
+    """A list that grows by one for each MappedImage constructed while the
+    test runs."""
+    built = []
+    init = MappedImage.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(MappedImage, "__init__", counted)
+    return built

@@ -171,6 +171,20 @@ def test_training_set_normalizes_headings_and_builds_rows():
         rows[3]
 
 
+def test_a_row_read_from_a_view_is_built_once(built_rows):
+    train = _season(n=4)
+    rows = train.images
+    assert len(rows) == 4 and built_rows == []
+    assert rows[1] is rows[1] and rows[-1] is rows[3] and rows[-4] is rows[0]
+    assert len(built_rows) == 3
+    assert [r.id for r in rows[::-1]] == [3, 2, 1, 0] and rows[1:3] == [rows[1], rows[2]]
+    assert len(built_rows) == 4
+    for bad in (4, -5):
+        with pytest.raises(IndexError):
+            rows[bad]
+    assert train.images[0] is not rows[0]  # each view builds its own rows
+
+
 def test_season_arrays_are_read_only_copies():
     feats = np.ones((3, 2))
     train = _season(features=feats)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from seasonvpc import (
     FusedResult,
@@ -71,6 +73,23 @@ def test_top_x_rejects_invalid_probabilities():
             top_x(np.array([[0.5, 0.5], [0.2, bad]]), 1)
 
 
+# Values at and around the edges of [0, 1]: NaN, the infinities, -0.0, the
+# smallest negatives, 1 + 2**-52 (the next float above 1).
+_EDGES = [np.nan, np.inf, -np.inf, -0.0, 0.0, -5e-324, -1e-300, 5e-324, 1.0, 1 + 2**-52, 0.5]
+
+
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=5),
+                  elements=st.sampled_from(_EDGES) | st.floats(-0.5, 1.5)))
+def test_top_x_range_check_refuses_what_the_elementwise_test_refuses(probs):
+    """top_x's check by min and max accepts exactly the arrays that
+    ((probs >= 0) & (probs <= 1)).all() accepts, empty ones included."""
+    if ((probs >= 0.0) & (probs <= 1.0)).all():
+        assert np.array_equal(top_x(probs, 2), np.argsort(-probs, axis=-1, kind="stable")[..., :2])
+    else:
+        with pytest.raises(ValueError, match="probabilities"):
+            top_x(probs, 2)
+
+
 def _stable_top(probs, x):
     return np.argsort(-probs, axis=1, kind="stable")[:, :x]
 
@@ -86,7 +105,7 @@ def _tie_heavy_rows(rng, n, c):
     return p
 
 
-@pytest.mark.parametrize("c", [9, 20, 79, 80, 81, 400])
+@pytest.mark.parametrize("c", [9, 20, 59, 60, 61, 79, 80, 81, 400])
 def test_top_x_equals_stable_argsort_on_ties(c):
     rng = np.random.default_rng(c)
     for x in sorted({1, 2, 3, 10, c // PARTIAL_WIDTH, c - 1, c, c + 3} - {0}):

@@ -26,6 +26,7 @@ from seasonvpc import (
     StrategyConfig,
     SynthConfig,
     TrainConfig,
+    TrainingSet,
     Viewpoint,
     init_model,
     initial_state,
@@ -43,6 +44,7 @@ from seasonvpc import (
 from seasonvpc import missions
 from seasonvpc.core import CLASS_RECORD
 from seasonvpc.missions import SINGLETON_WARN_FRACTION, StateFormatError
+from seasonvpc.placedef import PARTITION_METHODS
 
 from conftest import same_params
 
@@ -229,6 +231,46 @@ def test_run_vpc_is_pure_and_deterministic():
     a = run_vpc(state, queries, cfg)
     b = run_vpc(state, queries, cfg)
     assert a == b
+
+
+@pytest.mark.parametrize("method", PARTITION_METHODS)
+def test_a_season_view_and_its_rows_rank_and_score_alike(method):
+    """run_vpc and success_ratio read a season view's columns and a list of
+    its rows to the same bits, for 1 to 4 slots and float64 or float32
+    features."""
+    seasons = _synth(5)
+    cfg = replace(_mc(StrategyConfig("ST1"), epochs=5), partition=PartitionConfig(method=method))
+    state = initial_state(4)
+    for i in range(1, 5):
+        state = run_adaptation(state, seasons[i - 1], cfg)
+        assert len(state.classifiers) == i
+        test = seasons[i]
+        narrow = TrainingSet(test.season_id, test.label, test.timestamps, test.poses,
+                             test.features.astype(np.float32))
+        for season in (test, narrow):
+            view = queries_from_set(season)
+            rows = list(view)
+            batch, by_row = run_vpc(state, view, cfg), run_vpc(state, rows, cfg)
+            for name in ("slots", "classes", "probabilities", "poses"):
+                a, b = getattr(batch, name), getattr(by_row, name)
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+            for err in (0.5, 2.0, 10.0, 20.0):
+                for mode in missions.SUCCESS_MODES:
+                    assert (success_ratio(batch, view, err, mode)
+                            == success_ratio(batch, rows, err, mode)), (err, mode)
+
+
+def test_the_batch_path_builds_no_row(built_rows):
+    seasons = _synth(2)
+    cfg = _mc(StrategyConfig("ST1"), epochs=2)
+    state = run_adaptation(initial_state(4), seasons[0], cfg)
+    queries = queries_from_set(seasons[1])
+    ranking = run_vpc(state, queries, cfg)
+    for mode in missions.SUCCESS_MODES:
+        success_ratio(ranking, queries, 10.0, mode)
+    assert built_rows == []
+    run_vpc(state, [queries[0]], cfg)  # a locate call's row is counted
+    assert len(built_rows) == 1
 
 
 def test_success_ratio_modes_and_monotonicity():

@@ -273,27 +273,29 @@ class PlacePartition:
 
     def summary(self, train: TrainingSet) -> "PartitionSummary":
         """Per class: the keyframe's id, timestamp and pose, the member count,
-        and the representative pose (member centroid; heading noted below)."""
+        and the representative pose (member centroid; heading noted below),
+        each sum adding the members in row order (np.bincount's weighted loop,
+        whatever the interpreter's builtin `sum` does)."""
         if train.season_id != self.source_season:
             raise ValueError(f"partition of season {self.source_season} "
                              f"summarized with season {train.season_id}")
-        classes = self.classes
-        representatives = []
-        for c in classes:
-            xs, ys, thetas = train.poses[c.members].T.tolist()
-            # The heading the state files hold: atan2(sum of sines, 0), so
-            # +-pi/2 or 0, not the circular mean atan2(sum of sines, sum of
-            # cosines); changing it changes their bytes.
-            heading = normalize_angle(math.atan2(sum(math.sin(t) for t in thetas), 0))
-            representatives.append((sum(xs) / len(xs), sum(ys) / len(ys), heading))
-        keyframes = [int(c.members[0]) for c in classes]
-        rows = np.empty(len(classes), CLASS_RECORD)
-        rows["class_id"] = np.arange(len(classes))
+        labels, poses = membership_labels(self, len(train)), train.poses
+        sizes = np.bincount(labels)
+        keyframes = np.unique(labels, return_index=True)[1]
+        rows = np.empty(len(sizes), CLASS_RECORD)
+        rows["class_id"] = np.arange(len(sizes))
         rows["keyframe_ids"] = keyframes
         rows["keyframe_timestamps"] = train.timestamps[keyframes]
-        rows["keyframe_poses"] = train.poses[keyframes]
-        rows["representatives"] = representatives
-        rows["sizes"] = [len(c.members) for c in classes]
+        rows["keyframe_poses"] = poses[keyframes]
+        # The heading the state files hold: atan2(sum of sines, 0), so +-pi/2
+        # or 0, not the circular mean atan2(sum of sines, sum of cosines);
+        # changing it changes their bytes.
+        sines = [math.sin(t) for t in poses[:, 2].tolist()]
+        rows["representatives"] = np.column_stack([
+            np.bincount(labels, weights=poses[:, 0]) / sizes,
+            np.bincount(labels, weights=poses[:, 1]) / sizes,
+            np.arctan2(np.bincount(labels, weights=sines), 0.0)])
+        rows["sizes"] = sizes
         return PartitionSummary(rows, self.source_season, self.method)
 
 

@@ -75,8 +75,9 @@ def partition_by_location(train: TrainingSet, t_d: float) -> PlacePartition:
     """
     if t_d <= 0:
         raise ValueError("t_d must be positive")
-    groups = _split_by_travel(step_lengths(train.poses), range(len(train)), t_d)
-    return _partition(train, groups, "location")
+    keys = np.empty(len(train), np.int64)
+    _split_by_travel(step_lengths(train.poses), range(len(train)), t_d, keys)
+    return _partition(train, keys, "location")
 
 
 def l2_normalize(f: np.ndarray) -> np.ndarray:
@@ -92,8 +93,9 @@ def kmeans(features: np.ndarray, k: int, iters: int = 50, seed: int = 0) -> Clus
     """Seeded Lloyd's k-means.
 
     Initialization draws k distinct points uniformly without replacement;
-    clusters that empty out are re-seeded with the point farthest from its
-    assigned centroid. Deterministic for a given seed.
+    one count per iteration finds the clusters that empty out, which are
+    re-seeded with the point farthest from its assigned centroid.
+    Deterministic for a given seed.
     """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2:
@@ -116,12 +118,11 @@ def kmeans(features: np.ndarray, k: int, iters: int = 50, seed: int = 0) -> Clus
     labels, dist2 = assign(centroids)
     history.append(float(dist2.sum()))
     for _ in range(iters):
+        counts = np.bincount(labels, minlength=k)
         new_centroids = centroids.copy()
-        for c in range(k):
-            mask = labels == c
-            if np.any(mask):
-                new_centroids[c] = x[mask].mean(axis=0)
-        empty = [c for c in range(k) if not np.any(labels == c)]
+        for c in np.flatnonzero(counts).tolist():
+            new_centroids[c] = x[labels == c].mean(axis=0)
+        empty = np.flatnonzero(counts == 0).tolist()
         if empty:
             order = np.argsort(-dist2, kind="stable")
             for c, point in zip(empty, order):
@@ -136,11 +137,13 @@ def kmeans(features: np.ndarray, k: int, iters: int = 50, seed: int = 0) -> Clus
     return ClusterAssignment(labels=labels, centroids=centroids, inertia_history=history)
 
 
-def _split_by_travel(steps: list[float], member_ids, t_d: float) -> list[list[int]]:
+def _split_by_travel(steps: list[float], member_ids, t_d: float, keys: np.ndarray) -> None:
+    """Split the ascending `member_ids` into runs of ~t_d meters of travel,
+    writing into the (N,) keys[m] the first member of member m's run."""
     # steps[i] is the step from image i to i + 1. Travel between consecutive
     # members sums every step between them, so distance skipped through other
     # clusters still counts; cum adds it as a subtotal, as path_length sums it.
-    runs: list[list[int]] = [[member_ids[0]]]
+    key = keys[member_ids[0]] = member_ids[0]
     cum = 0.0
     for prev, cur in zip(member_ids, member_ids[1:]):
         travel = 0.0
@@ -148,35 +151,28 @@ def _split_by_travel(steps: list[float], member_ids, t_d: float) -> list[list[in
             travel += step
         cum += travel
         if cum >= t_d:
-            runs.append([cur])
+            key = cur
             cum = 0.0
-        else:
-            runs[-1].append(cur)
-    return runs
+        keys[cur] = key
 
 
-def _partition(train: TrainingSet, groups: list[list[int]], method: str) -> PlacePartition:
-    """The partition of `train` whose class i holds the ids `groups[i]`."""
-    labels = np.full(len(train), -1, dtype=np.int64)  # an image in no group is refused
-    for cid, g in enumerate(groups):
-        labels[g] = cid
-    return PlacePartition(labels, train.season_id, method)
+def _partition(train: TrainingSet, keys: np.ndarray, method: str) -> PlacePartition:
+    """The partition of `train` into the runs `keys` names, in key order."""
+    return PlacePartition(np.unique(keys, return_inverse=True)[1], train.season_id, method)
 
 
 def partition_location_appearance(train: TrainingSet, cfg: PartitionConfig) -> PlacePartition:
     """Two-stage partition: k-means on raw features, then each cluster is
     split into sub-clusters by travel distance along the trajectory."""
     k = cfg.k if cfg.k is not None else default_k(len(train), cfg.t_d)
-    assignment = kmeans(train.features.astype(np.float64), k, iters=cfg.kmeans_iters,
-                        seed=cfg.seed)
+    clusters = kmeans(train.features, k, iters=cfg.kmeans_iters, seed=cfg.seed).labels
     steps = step_lengths(train.poses)
-    groups: list[list[int]] = []
+    keys = np.empty(len(train), np.int64)
     for c in range(k):
-        member_ids = [int(i) for i in np.flatnonzero(assignment.labels == c)]
+        member_ids = np.flatnonzero(clusters == c).tolist()
         if member_ids:
-            groups.extend(_split_by_travel(steps, member_ids, cfg.t_d))
-    groups.sort(key=lambda g: g[0])
-    return _partition(train, groups, "location-appearance")
+            _split_by_travel(steps, member_ids, cfg.t_d, keys)
+    return _partition(train, keys, "location-appearance")
 
 
 def partition_incremental(train: TrainingSet, cfg: PartitionConfig) -> PlacePartition:

@@ -61,7 +61,7 @@ def _svg_frame(width: int, height: int, font_size: int | None = None) -> list[st
             f'<rect width="{width}" height="{height}" fill="white"/>']
 
 
-def schedule_svg(schedule: Schedule, title: str = "") -> str:
+def schedule_svg(schedule: Schedule, title: str) -> str:
     """Grid of colored boxes: rows are ensemble slots, columns are missions,
     a filled box means that slot fine-tuned on that season."""
     n_rows = len(schedule.histories)
@@ -69,9 +69,8 @@ def schedule_svg(schedule: Schedule, title: str = "") -> str:
     cell, pad, top = 36, 46, 34
     width = pad + n_cols * cell + 12
     height = top + n_rows * cell + 12
-    parts = _svg_frame(width, height, 12)
-    if title:
-        parts.append(f'<text x="{pad}" y="16" font-weight="bold">{title}</text>')
+    parts = _svg_frame(width, height, 12) + [
+        f'<text x="{pad}" y="16" font-weight="bold">{title}</text>']
     for c in range(n_cols):
         parts.append(
             f'<text x="{pad + c * cell + cell // 2 - 8}" y="{top - 6}">D{c + 1}</text>'
@@ -89,7 +88,7 @@ def schedule_svg(schedule: Schedule, title: str = "") -> str:
     return "\n".join(parts) + "\n"
 
 
-def success_svg(rows: Sequence[dict], title: str = "success ratio vs mission") -> str:
+def success_svg(rows: Sequence[dict], title: str) -> str:
     """Line chart of success ratio (0..1) against mission id, one polyline
     per error threshold of `results_csv`'s rows."""
     series: dict[str, list[tuple[int, float]]] = {}
@@ -147,9 +146,9 @@ def partition_csv(partition: PlacePartition) -> str:
     return "\n".join(lines) + "\n"
 
 
-def partition_svg(train: TrainingSet, partition: PlacePartition,
-                  size: int = 480) -> str:
-    """Trajectory overlay: one dot per image, colored by place class."""
+def partition_svg(train: TrainingSet, partition: PlacePartition) -> str:
+    """Trajectory overlay, 480 px square: one dot per image, colored by class."""
+    size = 480
     xs, ys = train.poses[:, 0].tolist(), train.poses[:, 1].tolist()
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -24,6 +25,28 @@ def run_at_one_blas_thread(check) -> None:
     child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                            text=True, timeout=600)
     assert child.returncode == 0, child.stdout + child.stderr
+
+
+def neumaier_sum(iterable, start=0):
+    """The builtin `sum` of CPython 3.12 and later over ints and floats:
+    ints add exactly until the first float; from there every item is added
+    with Neumaier's compensation, and the compensation is added at the end
+    when it is nonzero and finite (`builtin_sum_impl`). CPython 3.11 and
+    earlier add the floats plainly, one at a time."""
+    items = iter(iterable)
+    total = start
+    for item in items:
+        total = total + item
+        if isinstance(total, float):
+            break
+    else:
+        return total
+    c = 0.0
+    for x in map(float, items):
+        t = total + x
+        c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + c if c and math.isfinite(c) else total
 
 
 def same_params(a, b) -> bool:

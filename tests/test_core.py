@@ -11,6 +11,7 @@ from seasonvpc import (
     PartitionSummary,
     PlacePartition,
     RetrainHistory,
+    SynthConfig,
     TrainingSet,
     Viewpoint,
     angle_difference,
@@ -20,11 +21,14 @@ from seasonvpc import (
     normalize_angle,
     ones_count,
     path_length,
+    synth_generate,
     viewpoint_distance,
 )
+from seasonvpc import core
 from seasonvpc.core import CLASS_RECORD
+from seasonvpc.placedef import PARTITION_METHODS
 
-from conftest import line_training_set, season_from_xy
+from conftest import line_training_set, neumaier_sum, season_from_xy
 
 finite_angle = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 coord = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -261,6 +265,47 @@ def test_partition_summary_reads_keyframe_and_centroid_from_the_season(line7):
     assert s.representatives[1].tolist() == [18.0, 0.0, 0.0]
     with pytest.raises(ValueError, match="season"):
         part.summary(line_training_set(7, season_id=2))
+    with pytest.raises(ValueError, match="partition of 7 images for a season of 8"):
+        part.summary(line_training_set(8))
+
+
+def _summary_oracle(part, train):
+    """What `summary` stores per class, each sum an explicit loop over the
+    class's members in row order: (keyframe id, size, x, y, heading)."""
+    rows = []
+    for cls in part.classes:
+        members = cls.members.tolist()
+        sx = sy = ss = 0.0
+        for i in members:
+            x, y, theta = train.poses[i].tolist()
+            sx += x
+            sy += y
+            ss += math.sin(theta)
+        rows.append((members[0], len(members), sx / len(members), sy / len(members),
+                     normalize_angle(math.atan2(ss, 0))))
+    return rows
+
+
+def _summary_rows(s):
+    return list(zip(s.keyframe_ids.tolist(), s.sizes.tolist(),
+                    *s.representatives.T.tolist()))
+
+
+def test_summary_sums_in_row_order_whatever_the_builtin_sum(monkeypatch):
+    # CPython 3.12's compensated sum gives 1/3 for this class's mean x; a
+    # sum in row order gives 0.
+    monkeypatch.setattr(core, "sum", neumaier_sum, raising=False)
+    train = season_from_xy([(1e16, 0.0), (1.0, 0.0), (-1e16, 0.0), (5.0, 1.0)],
+                           theta=[0.5, -1.0, 0.25, -0.5])
+    part = _partition([0, 0, 0, 1])
+    assert _summary_rows(part.summary(train)) == _summary_oracle(part, train)
+    assert part.summary(train).representatives[0, :2].tolist() == [0.0, 0.0]
+    for seed in (0, 1):
+        seasons = synth_generate(SynthConfig(seed=seed))
+        for method in PARTITION_METHODS:
+            for train in seasons[:4]:
+                part = build_partition(train, PartitionConfig(method=method, seed=seed))
+                assert _summary_rows(part.summary(train)) == _summary_oracle(part, train)
 
 
 def _summary(keyframe_pose=(0.0, 0.0, 0.0), representative=(1.0, 0.0, math.pi)):

@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from seasonvpc import (
+    ClusterAssignment,
     PartitionConfig,
     SynthConfig,
     build_partition,
@@ -20,6 +22,7 @@ from seasonvpc import (
 )
 from seasonvpc.report import partition_csv
 
+import partition_oracle
 from conftest import line_training_set, season_from_xy
 
 
@@ -169,6 +172,50 @@ def test_location_appearance_interleaved_blobs_split_independently():
     cfg = PartitionConfig(method="location-appearance", t_d=6.0, k=2, seed=0)
     p = partition_location_appearance(train, cfg)
     assert [c.members.tolist() for c in p.classes] == [[0, 2], [1, 3], [4, 6], [5, 7]]
+
+
+@st.composite
+def travel_cases(draw):
+    """A season of 1-40 images with steps of up to 9 m per axis (zero steps
+    included), a t_d from below one step to above the whole walk (or a sum
+    of steps exactly, so travel can reach it with equality), and an
+    appearance cluster per image among k, some clusters empty."""
+    n = draw(st.integers(1, 40))
+    step = st.sampled_from([0.0, 0.5, 3.0]) | st.floats(-9.0, 9.0)
+    xy = np.cumsum(draw(st.lists(st.tuples(step, step), min_size=n, max_size=n)), axis=0)
+    t_d = draw(st.sampled_from([0.5, 3.0, 6.0]) | st.floats(1e-6, 0.4) | st.floats(0.4, 30.0)
+               | st.floats(500.0, 1e6))
+    k = draw(st.integers(1, n + 3))
+    clusters = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    return season_from_xy(xy), t_d, k, clusters
+
+
+@given(travel_cases())
+def test_the_label_column_equals_the_group_lists(case):
+    train, t_d, k, clusters = case
+    assert partition_by_location(train, t_d).labels.tolist() == \
+        partition_oracle.location_labels(train, t_d)
+    fixed = ClusterAssignment(labels=np.array(clusters), centroids=np.zeros((k, 1)))
+    cfg = PartitionConfig(method="location-appearance", t_d=t_d, k=k)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("seasonvpc.placedef.kmeans", lambda *args, **kwargs: fixed)
+        labels = partition_location_appearance(train, cfg).labels.tolist()
+    assert labels == partition_oracle.location_appearance_labels(train, clusters, t_d)
+
+
+@given(st.integers(1, 12), st.data())
+def test_kmeans_equals_the_label_mask_oracle(n, data):
+    # Few distinct rows, so clusters start or fall empty.
+    distinct = data.draw(st.integers(1, n))
+    rows = np.array(data.draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                                       min_size=distinct, max_size=distinct)), dtype=float)
+    x = rows[data.draw(st.lists(st.integers(0, distinct - 1), min_size=n, max_size=n))]
+    k, iters, seed = data.draw(st.integers(1, n)), data.draw(st.integers(1, 8)), \
+        data.draw(st.integers(0, 2**32))
+    got = kmeans(x, k, iters=iters, seed=seed)
+    labels, centroids, history = partition_oracle.kmeans(x, k, iters, seed)
+    assert np.array_equal(got.labels, labels) and np.array_equal(got.centroids, centroids)
+    assert got.inertia_history == history
 
 
 def _pair(x1=0.0, theta1=0.0, feature1=(1.0, 0.0), label="pair"):

@@ -10,8 +10,10 @@ import json
 import numpy as np
 import pytest
 
-from seasonvpc import load_state, queries_from_set, run_vpc
+from seasonvpc import core, load_state, queries_from_set, run_vpc
 from seasonvpc.cli import _load_seasons, load_experiment_spec, main as cli_main
+
+from conftest import neumaier_sum
 
 SPEC = {
     "missions": 4,
@@ -58,6 +60,13 @@ def test_run_outputs_match_the_pinned_digests(tmp_path, upd):
            hashlib.sha256((out / "state.svpc").read_bytes()).hexdigest(),
            _ranking_digest(ranking))
     assert got == PINNED[upd]
+
+
+@pytest.mark.parametrize("upd", sorted(PINNED))
+def test_run_outputs_do_not_depend_on_the_builtin_sum(tmp_path, monkeypatch, upd):
+    # Under CPython 3.12's compensated float sum the pins still hold.
+    monkeypatch.setattr(core, "sum", neumaier_sum, raising=False)
+    test_run_outputs_match_the_pinned_digests(tmp_path, upd)
 
 
 # Criterion 11's spec at top-level seed 0 with partition.k 3: k-means makes

@@ -213,10 +213,6 @@ class RetrainHistory:
         if any(b not in (0, 1) for b in self.bits):
             raise ValueError("history bits must be 0 or 1")
 
-    @classmethod
-    def from_string(cls, s: str) -> "RetrainHistory":
-        return cls(tuple(int(c) for c in s))
-
     def extended(self, bit: int) -> "RetrainHistory":
         return RetrainHistory(self.bits + (bit,))
 

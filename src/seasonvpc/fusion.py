@@ -58,10 +58,10 @@ PARTIAL_WIDTH = 6
 
 def _order(probs: np.ndarray, x: int) -> np.ndarray:
     """Indices of the x largest entries along the last axis, largest first;
-    equal entries keep their index order."""
+    equal entries keep their index order. C-contiguous (see `top_x`)."""
     if probs.ndim == 2 and len(probs) >= 2 and probs.shape[1] >= PARTIAL_WIDTH * x:
         return _partial_order(-probs, x)
-    return np.argsort(-probs, axis=-1, kind="stable")[..., :x]
+    return np.ascontiguousarray(np.argsort(-probs, axis=-1, kind="stable")[..., :x])
 
 
 def _partial_order(neg: np.ndarray, x: int) -> np.ndarray:
@@ -92,7 +92,9 @@ def top_x(probs: np.ndarray, x: int) -> np.ndarray:
     -probs. A batch of two or more rows with C >= PARTIAL_WIDTH * x is
     ranked by selection (`_partial_order`), which returns the same indices
     without sorting whole rows; single rows and narrower ones sort in full,
-    which is faster there.
+    which is faster there. The indices are C-contiguous on either path (a
+    batch's full sort copies its first x columns out; a single row's slice
+    is contiguous already), so gathers with them read them in row order.
     """
     if x < 1:
         raise ValueError("x must be >= 1")

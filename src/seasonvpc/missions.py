@@ -196,11 +196,12 @@ def vpc_plan(state: EnsembleState, strategy: StrategyConfig) -> VPCPlan:
 
     The plan is kept in the state's own `__dict__`, next to its fields, so
     it is freed with the state, and it takes no part in `states_equal` or
-    `save_state`. It is built first and then stored with `setdefault`:
-    readers that race store equal plans and all return the first.
+    `save_state`. It is built first and then stored with `setdefault`, as
+    is the state's plan dict: readers that race store equal plans and all
+    return the first.
     """
-    plans = vars(state).setdefault("_vpc_plans", {})
-    plan = plans.get(strategy)
+    plans = vars(state).get("_vpc_plans")
+    plan = None if plans is None else plans.get(strategy)
     if plan is None:
         slots = active_slots(state, strategy)
         records = [state.classifiers[j] for j in slots]
@@ -210,7 +211,7 @@ def vpc_plan(state: EnsembleState, strategy: StrategyConfig) -> VPCPlan:
             raise ValueError("active slots take features of different dimensions: " + ", ".join(
                 f"slot {j}: {rec.model.feature_dim}" for j, rec in zip(slots, records))) from None
         widths = [rec.model.n_classes for rec in records]
-        plan = plans.setdefault(strategy, VPCPlan(
+        plan = vars(state).setdefault("_vpc_plans", {}).setdefault(strategy, VPCPlan(
             tuple(slots), stack,
             _read_only(np.repeat(np.array(slots, dtype=np.int64), widths)),
             _read_only(np.concatenate([np.arange(k, dtype=np.int64) for k in widths])),
@@ -224,11 +225,12 @@ def run_vpc(state: EnsembleState, queries: Sequence[MappedImage],
 
     One forward pass over all queries through the active slots'
     `ModelStack`, then one ranking of its probability rows, gathered from
-    the state's `vpc_plan` into a columnar `Ranking`; a season view's
-    feature column goes to `predict` as it is. Each query's row is
-    identical to ranking each slot's classes and fusing the lists (`fuse`),
-    and does not depend on the other queries in the batch. Pure with
-    respect to the state's fields; deterministic.
+    the state's `vpc_plan` into a columnar `Ranking` (the poses with
+    `np.take` along the plan's rows); a season view's feature column goes
+    to `predict` as it is. Each query's row is identical to ranking each
+    slot's classes and fusing the lists (`fuse`), and does not depend on
+    the other queries in the batch. Pure with respect to the state's
+    fields; deterministic.
     """
     if state.mission < 1:
         raise ValueError("VPC needs at least one adaptation mission")
@@ -239,7 +241,7 @@ def run_vpc(state: EnsembleState, queries: Sequence[MappedImage],
     order = top_x(probs, cfg.fusion_x)
     return Ranking(slots=plan.column_slots[order], classes=plan.column_classes[order],
                    probabilities=probs[np.arange(len(order))[:, None], order],
-                   poses=plan.column_poses[order])
+                   poses=np.take(plan.column_poses, order, axis=0))
 
 
 def success_ratio(results: Ranking, queries: Sequence[MappedImage],

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from seasonvpc import MappedImage, TrainingSet
+from seasonvpc import MappedImage, RetrainHistory, TrainingSet
 
 TESTS = Path(__file__).resolve().parent
 
@@ -47,6 +47,11 @@ def neumaier_sum(iterable, start=0):
         c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
         total = t
     return total + c if c and math.isfinite(c) else total
+
+
+def history(bits: str) -> RetrainHistory:
+    """The retrain history written as a bit string, first mission first."""
+    return RetrainHistory(tuple(int(c) for c in bits))
 
 
 def same_params(a, b) -> bool:

@@ -107,13 +107,21 @@ def _tie_heavy_rows(rng, n, c):
 
 @pytest.mark.parametrize("c", [9, 20, 59, 60, 61, 79, 80, 81, 400])
 def test_top_x_equals_stable_argsort_on_ties(c):
+    """Every index array top_x returns is also C-contiguous: a row as `fuse`
+    passes it (1-D), a single row, and batches ranked by a full sort or by
+    selection."""
     rng = np.random.default_rng(c)
     for x in sorted({1, 2, 3, 10, c // PARTIAL_WIDTH, c - 1, c, c + 3} - {0}):
         for n in (1, 2, 3, 40):
             p = _tie_heavy_rows(rng, n, c)
-            assert np.array_equal(top_x(p, x), _stable_top(p, x)), (n, x)
             r = rng.dirichlet(np.ones(c), size=n)
-            assert np.array_equal(top_x(r, x), _stable_top(r, x)), (n, x)
+            for probs in (p, r):
+                got = top_x(probs, x)
+                assert np.array_equal(got, _stable_top(probs, x)), (n, x)
+                assert got.flags.c_contiguous, (n, x)
+            got = top_x(p[0], x)
+            assert np.array_equal(got, np.argsort(-p[0], kind="stable")[:x]), x
+            assert got.flags.c_contiguous, x
 
 
 def test_partial_order_equals_stable_argsort_for_every_x():

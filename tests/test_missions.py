@@ -22,7 +22,6 @@ from seasonvpc import (
     PartitionConfig,
     PartitionSummary,
     Ranking,
-    RetrainHistory,
     StrategyConfig,
     SynthConfig,
     TrainConfig,
@@ -46,7 +45,7 @@ from seasonvpc.core import CLASS_RECORD
 from seasonvpc.missions import SINGLETON_WARN_FRACTION, StateFormatError
 from seasonvpc.placedef import PARTITION_METHODS
 
-from conftest import same_params
+from conftest import history, same_params
 
 
 def _synth(n_seasons=5, seed=0, **kw):
@@ -508,7 +507,7 @@ def desk_state(seed: int) -> EnsembleState:
     rows["sizes"] = 5
     summary = PartitionSummary(rows, source_season=1, method="location")
     return EnsembleState(mission=4, capacity=4, classifiers=tuple(
-        ClassifierRecord(RetrainHistory.from_string(bits), summary,
+        ClassifierRecord(history(bits), summary,
                          replace(init_model(4096, 64, k, seed=10 * seed + slot), final_loss=0.0))
         for slot, bits in enumerate(("1000", "0100", "0010", "0001"))))
 

@@ -17,12 +17,13 @@ from seasonvpc import (
 from seasonvpc.missions import MAX_CAPACITY
 from seasonvpc.sched import slot_score
 
+from conftest import history
 from sched_oracle import feasible_extensions, next_schedule_bruteforce
 
 
 def _schedule(*rows: str) -> Schedule:
     """The schedule whose slots have the bit strings `rows`."""
-    return Schedule(tuple(map(RetrainHistory.from_string, rows)))
+    return Schedule(tuple(map(history, rows)))
 
 ST1 = StrategyConfig("ST1")
 

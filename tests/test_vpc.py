@@ -29,7 +29,7 @@ from seasonvpc.core import CLASS_RECORD
 from seasonvpc.fusion import PARTIAL_WIDTH
 from seasonvpc.missions import active_slots, vpc_plan
 
-from conftest import run_at_one_blas_thread
+from conftest import history, run_at_one_blas_thread
 from vpc_oracle import predict_one, run_vpc_reference
 
 
@@ -99,6 +99,12 @@ def test_batched_vpc_matches_per_query_reference():
         want = run_vpc_reference(state, queries, cfg)
         assert [_key(r) for r in got] == [_key(r) for r in want]
         width = sum(state.classifiers[j].model.n_classes for j in active_slots(state, strategy))
+        shape = (len(queries), min(cfg.fusion_x, width))
+        for column, dtype, column_shape in ((got.slots, np.int64, shape),
+                                            (got.classes, np.int64, shape),
+                                            (got.probabilities, np.float64, shape),
+                                            (got.poses, np.float64, shape + (3,))):
+            assert (column.dtype, column.shape) == (dtype, column_shape)
         partial += len(queries) >= 2 and width >= PARTIAL_WIDTH * cfg.fusion_x
     assert partial >= 100  # top_x ranked these batches by selection
 
@@ -320,7 +326,7 @@ def _scheduled_state(seed, f_dim=8):
     records = []
     for slot, bits in enumerate(("1000", "0100", "0011", "0001")):
         k = int(rng.integers(1, 40))
-        records.append(ClassifierRecord(history=RetrainHistory.from_string(bits),
+        records.append(ClassifierRecord(history=history(bits),
                                         partition=_partition(rng, k),
                                         model=_model_with_ties(rng, f_dim, k, seed=seed + slot)))
     return EnsembleState(mission=4, classifiers=tuple(records), capacity=4)

@@ -7,7 +7,10 @@ replaced whenever the class set changes.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +19,8 @@ from .core import require_integers, require_reals
 
 
 class DivergenceError(Exception):
-    """Training reached non-finite parameters: the learning rate is too large."""
+    """Training reached non-finite parameters: the learning rate or the
+    initial weight scale is too large."""
 
 
 @dataclass(frozen=True)
@@ -221,6 +225,67 @@ class ModelStack:
         self.hidden, self.n_classes, self.body, self.heads = h0, k0, tuple(body), tuple(heads)
 
 
+def _cpus() -> int:
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _span_rows(stack: ModelStack, x: np.ndarray, z1: np.ndarray, logits: np.ndarray) -> None:
+    """The span layout's forward pass of the rows x (n, F) into z1 (n, 1, ΣH)
+    and logits (n, C), each row on its own: views, so a thread running some
+    rows of a batch writes only those rows' slices."""
+    for w1t, a, b in stack.body:
+        np.matmul(x[:, None, :], w1t, out=z1[:, :, a:b])
+    z1 += stack.b1
+    np.maximum(z1, 0.0, out=z1)
+    for w2t, a, b, c, d in stack.heads:
+        np.matmul(z1[:, :, a:b], w2t, out=logits[:, None, c:d])
+    logits += stack.b2
+    if stack.width:  # each row's S spans of K classes: one (n * S, K) softmax
+        _softmax(logits.reshape(-1, stack.width))
+    else:
+        for *_, c, d in stack.heads:
+            _softmax(logits[:, c:d])
+
+
+def _split_rows(stack: ModelStack, x: np.ndarray, z1: np.ndarray, logits: np.ndarray) -> None:
+    """_span_rows over the batch, its first half in the caller and its second
+    in one worker thread, which runs in a copy of the caller's context (so
+    under the caller's `np.errstate`), is joined before this returns, and
+    whose exception is raised here."""
+    h = len(x) // 2
+    errors = []
+
+    def rest() -> None:
+        try:
+            _span_rows(stack, x[h:], z1[h:], logits[h:])
+        except BaseException as e:  # raised in the caller, after the join
+            errors.append(e)
+    worker = threading.Thread(target=contextvars.copy_context().run, args=(rest,))
+    worker.start()
+    try:
+        _span_rows(stack, x[:h], z1[:h], logits[:h])
+    finally:
+        worker.join()
+    if errors:
+        raise errors[0]
+
+
+# A span-layout batch whose first layer takes at least this many
+# multiply-adds (rows x ΣH x F) runs half its rows in a worker thread, when
+# the process may use two CPUs. Below it the split lost (one BLAS thread,
+# 2-CPU x86-64): starting and joining the thread, and the GIL both halves
+# take for each numpy call, cost 0.2-0.4 ms, and numpy holds the GIL through
+# a matmul of few rows. Unsplit against split, four 64-unit models: of
+# mixed class counts at F 32, 100 rows took 0.7-1.0 ms against 0.9-1.5 ms;
+# of 100 classes at F 4096 (desk-4096-loc's stack), 24 rows 3.3 against
+# 3.7 ms, 32 rows (2^25) 4.0 against 2.3 ms and 500 rows 66 against 41 ms.
+SPLIT_WORK = 1 << 25
+
+
 def predict(m: ModelParams | ModelStack, features: np.ndarray) -> np.ndarray:
     """Class probabilities (n, K) for a batch of feature vectors (n, F); for
     a `ModelStack`, (n, C), each model's in its class span.
@@ -246,35 +311,35 @@ def predict(m: ModelParams | ModelStack, features: np.ndarray) -> np.ndarray:
     layer as one broadcast matmul over every (model, row) pair instead of
     one call per span: the body model-outer, so each w1 is reused across
     the rows while in cache, the heads row-outer, straight into the logits.
+
+    A span-layout batch of at least 2 rows and SPLIT_WORK first-layer
+    multiply-adds, in a process that may run on 2 CPUs or more, is split
+    at n // 2: one worker thread runs the second half while the caller runs
+    the first, each writing its own rows of the arrays allocated here. Every
+    row still runs the same per-row calls, so its bits are those of its
+    single-row call. Single rows, stacked stacks and one-CPU processes never
+    split.
     """
     stack = ModelStack([m]) if isinstance(m, ModelParams) else m
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != stack.feature_dim:
         raise ValueError(f"feature batch shape {x.shape} != (n, {stack.feature_dim})")
     n = len(x)
-    if stack.w1t is not None:
-        z1 = np.matmul(x[None, :, None, :], stack.w1t)  # (S, n, 1, H)
-    else:
+    logits = np.empty((n, stack.n_classes))
+    if stack.w1t is None:
         z1 = np.empty((n, 1, stack.hidden))
-        for w1t, a, b in stack.body:
-            np.matmul(x[:, None, :], w1t, out=z1[:, :, a:b])
+        split = n >= 2 and n * stack.hidden * stack.feature_dim >= SPLIT_WORK and _cpus() >= 2
+        (_split_rows if split else _span_rows)(stack, x, z1, logits)
+        return logits
+    z1 = np.matmul(x[None, :, None, :], stack.w1t)  # (S, n, 1, H)
     # In place: the same ufuncs on the same values as z1 + b1 and so on,
     # so the same bits, without a temporary per step.
     z1 += stack.b1
     np.maximum(z1, 0.0, out=z1)
-    logits = np.empty((n, stack.n_classes))
-    if stack.w1t is not None:
-        np.matmul(z1.transpose(1, 0, 2, 3), stack.w2t,
-                  out=logits.reshape(n, len(stack.w2t), 1, stack.width))
-    else:
-        for w2t, a, b, c, d in stack.heads:
-            np.matmul(z1[:, :, a:b], w2t, out=logits[:, None, c:d])
+    np.matmul(z1.transpose(1, 0, 2, 3), stack.w2t,
+              out=logits.reshape(n, len(stack.w2t), 1, stack.width))
     logits += stack.b2
-    if stack.width:  # each row's S spans of K classes: one (n * S, K) softmax
-        _softmax(logits.reshape(-1, stack.width))
-    else:
-        for *_, c, d in stack.heads:
-            _softmax(logits[:, c:d])
+    _softmax(logits.reshape(-1, stack.width))
     return logits
 
 
@@ -361,7 +426,8 @@ def _sgd(params: np.ndarray, m: ModelParams, x: np.ndarray, y: np.ndarray,
                 params -= grads
         final = _mean_nll(_forward(m, x)[2], y)
     if not (np.isfinite(params).all() and math.isfinite(final)):
-        raise DivergenceError(f"training diverged at train.learning_rate {cfg.learning_rate!r}")
+        raise DivergenceError(f"training diverged at train.learning_rate {cfg.learning_rate!r}"
+                              f" and train.weight_scale {cfg.weight_scale!r}")
     return ModelParams(m.w1, m.b1, m.w2, m.b2, final_loss=final, seed=cfg.seed)
 
 

@@ -379,6 +379,8 @@ class ClassifierRecord:
         if m.final_loss is None or m.seed is None or not 0 <= m.seed <= MAX_SEED:
             raise ValueError(f"a slot's model needs a final_loss and a seed in 0..{MAX_SEED}, "
                              f"got {m.final_loss} and {m.seed}")
+        if not math.isfinite(m.final_loss):
+            raise ValueError(f"a slot's model needs a finite final_loss, got {m.final_loss}")
         if m.n_classes != len(self.partition.sizes):
             raise ValueError(f"partition of {len(self.partition.sizes)} classes for a "
                              f"model of {m.n_classes}")

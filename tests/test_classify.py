@@ -183,6 +183,16 @@ def test_diverging_training_raises_instead_of_returning_non_finite_parameters(fn
             fine_tune(init_model(x.shape[1], cfg.hidden, 3), x, y, 3, cfg)
 
 
+def test_divergence_from_the_weight_scale_names_it():
+    # An initial weight scale too large overflows at the learning rate the
+    # user left at its default: the message names both values.
+    rng = np.random.default_rng(7)
+    x, y = _blobs(rng)
+    with pytest.raises(DivergenceError, match=r"^training diverged at train.learning_rate 0.05 "
+                                              r"and train.weight_scale 1e\+200$"):
+        train(x, y, 3, TrainConfig(weight_scale=1e200, epochs=2))
+
+
 def test_diverging_training_warns_nothing():
     rng = np.random.default_rng(7)
     x, y = _blobs(rng)

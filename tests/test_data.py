@@ -1,6 +1,10 @@
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -274,3 +278,17 @@ def test_synth_place_spacing_is_euclidean_hop():
     (x0, y0, _), (x1, y1, _) = season.poses[:2].tolist()
     hop = math.hypot(x1 - x0, y1 - y0)
     assert hop == pytest.approx(cfg.place_spacing)
+
+
+def test_importing_data_leaves_concurrent_futures_unloaded():
+    # A fresh interpreter's import, as the benchmark times set-up: loading
+    # concurrent.futures alone costs about 10 ms.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH", "")]))}
+    code = ("import sys; from seasonvpc import data; "
+            "print(sorted(m for m in sys.modules if m.startswith('concurrent')))")
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                           text=True, timeout=60)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "[]"

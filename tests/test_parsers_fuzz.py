@@ -5,6 +5,8 @@ UsageError), never a bare ValueError, OverflowError, struct.error or similar."""
 import copy
 import hashlib
 import json
+import math
+import struct
 
 import numpy as np
 import pytest
@@ -196,6 +198,21 @@ def test_load_state_raises_only_state_format_error(tmp_path_factory, state_paylo
         return
     save_state(state, path)  # a state that loads saves back to the same bytes
     assert path.read_bytes() == blob
+
+
+@pytest.mark.parametrize("loss", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("slot", [0, 1])
+def test_load_state_refuses_a_non_finite_final_loss(tmp_path, state_payload, loss, slot):
+    # Each slot's final_loss follows its presence byte, as a little-endian
+    # double; the payload is sealed again with its new checksum.
+    path = tmp_path / "state.svpc"
+    path.write_bytes(_sealed(state_payload))
+    stored = struct.pack("<Bd", 1, load_state(path).classifiers[slot].model.final_loss)
+    assert state_payload.count(stored) == 1
+    path.write_bytes(_sealed(state_payload.replace(stored, struct.pack("<Bd", 1, loss))))
+    with pytest.raises(StateFormatError, match="invalid record: a slot's model needs a finite "
+                                               "final_loss"):
+        load_state(path)
 
 
 # Every key a spec may hold, each with a valid value.

@@ -2,7 +2,12 @@
 to batch size."""
 
 import gc
+import os
+import sys
+import threading
+import warnings
 import weakref
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -24,7 +29,8 @@ from seasonvpc import (
     states_equal,
 )
 
-from seasonvpc.classify import BLOCK_BYTES, ModelStack, _row_blocks, predict
+from seasonvpc import classify
+from seasonvpc.classify import BLOCK_BYTES, SPLIT_WORK, ModelStack, _row_blocks, predict
 from seasonvpc.core import CLASS_RECORD
 from seasonvpc.fusion import PARTIAL_WIDTH
 from seasonvpc.missions import active_slots, vpc_plan
@@ -109,6 +115,38 @@ def test_batched_vpc_matches_per_query_reference():
     assert partial >= 100  # top_x ranked these batches by selection
 
 
+@contextmanager
+def worker_rows(split_work=SPLIT_WORK, cpus=2):
+    """Runs predict as on a host with `cpus` CPUs (None: this host's) and
+    the work threshold `split_work`; yields a list that gets, for each batch
+    split, the row count of the half its worker thread runs."""
+    rows = []
+    saved = classify._split_rows, classify.SPLIT_WORK, classify._cpus
+    split_rows = saved[0]
+
+    def counted(stack, x, z1, logits):
+        rows.append(len(x) - len(x) // 2)
+        split_rows(stack, x, z1, logits)
+    classify._split_rows, classify.SPLIT_WORK = counted, split_work
+    if cpus is not None:
+        classify._cpus = lambda: cpus
+    try:
+        yield rows
+    finally:
+        classify._split_rows, classify.SPLIT_WORK, classify._cpus = saved
+
+
+def _desk_batch(n=64):
+    """desk-4096-loc's four-slot span-layout stack and an n-row batch."""
+    stack = ModelStack([init_model(4096, 64, 100, seed=s) for s in range(4)])
+    return stack, np.random.default_rng(n).normal(size=(n, 4096))
+
+
+def _splits(stack, n):
+    """Whether a batch of n rows splits when every batch may."""
+    return stack.w1t is None and n >= 2
+
+
 GRID_F = (1024, 1500, 2048, 3000, 4096, 8192)
 GRID_H = (5, 16, 17, 37, 64, 70, 128)
 GRID_N = (1, 2, 3, 50)
@@ -125,13 +163,20 @@ def _grid():
 
 def check_predict_matches_oracle():
     """predict equals the per-row oracle bit for bit on every grid shape and
-    batch size. Holds with one OpenBLAS thread on x86-64, where the 16-row
+    batch size, and so does every span-layout batch split between two
+    threads. Holds with one OpenBLAS thread on x86-64, where the 16-row
     group was found; a threaded BLAS may split a block's product across
     threads unlike the whole matrix's."""
+    splits = want_splits = 0
     for m, x in _grid():
         want = np.array([predict_one(m, row) for row in x])
         for n in GRID_N:
             assert np.array_equal(predict(m, x[:n]), want[:n]), (m.feature_dim, m.hidden, n)
+            with worker_rows(split_work=0) as split:
+                assert np.array_equal(predict(m, x[:n]), want[:n]), (m.feature_dim, m.hidden, n)
+            splits += len(split)
+            want_splits += _splits(ModelStack([m]), n)
+    assert splits == want_splits >= 40
 
 
 def test_predict_matches_per_row_oracle_at_one_blas_thread():
@@ -150,6 +195,13 @@ def test_predict_is_batch_invariant_at_default_blas_threads():
         for i in (7, 31, 49):
             assert np.array_equal(predict(m, x[i:i + 1]), batch[i:i + 1])
         assert np.array_equal(predict(m, x[5:17]), batch[5:17])
+    # desk-4096-loc's stack: 64 rows split at the default work threshold
+    stack, x = _desk_batch()
+    with worker_rows() as split:
+        batch = predict(stack, x)
+    assert split == [32]
+    for i, row in enumerate(x):
+        assert np.array_equal(predict(stack, row[None]), batch[i:i + 1]), i
 
 
 STACK_H = (5, 16, 17, 64)
@@ -190,17 +242,23 @@ def _stack_grid():
 def check_stack_matches_per_model_oracle():
     """A stack's probability rows equal each model's per-row oracle
     probabilities side by side, bit for bit, on every grid stack and batch
-    size, in either layout. The same BLAS condition as
-    check_predict_matches_oracle."""
+    size, in either layout, and with every span-layout batch split between
+    two threads. The same BLAS condition as check_predict_matches_oracle."""
+    splits = want_splits = 0
     for stacks, x in _stack_grid():
         for models in stacks:
             want = np.hstack([[predict_one(m, row) for row in x] for m in models])
             stack = ModelStack(models)
             for n in STACK_N:
-                got = predict(stack, x[:n])
-                assert got.shape == (n, stack.n_classes)
-                assert np.array_equal(got, want[:n]), (
-                    [(m.feature_dim, m.hidden, m.n_classes) for m in models], n)
+                with worker_rows(split_work=0) as split:
+                    forced = predict(stack, x[:n])
+                for got in (predict(stack, x[:n]), forced):
+                    assert got.shape == (n, stack.n_classes)
+                    assert np.array_equal(got, want[:n]), (
+                        [(m.feature_dim, m.hidden, m.n_classes) for m in models], n)
+                splits += len(split)
+                want_splits += _splits(stack, n)
+    assert splits == want_splits >= 40
 
 
 def test_stack_matches_per_model_oracle_at_one_blas_thread():
@@ -216,6 +274,90 @@ def test_stack_matches_per_model_oracle_at_one_blas_thread():
     assert stacked == {1, 2, 3, 4}
     assert any(ModelStack(models).w1t is None for models in stacks)
     run_at_one_blas_thread(check_stack_matches_per_model_oracle)
+
+
+class WorkerFailed(Exception):
+    pass
+
+
+def test_a_worker_that_raises_makes_predict_raise_and_leaves_no_thread(monkeypatch):
+    stack, x = _desk_batch()
+    span_rows = classify._span_rows
+
+    def failing(stack, x, z1, logits):
+        if threading.current_thread() is not threading.main_thread():
+            raise WorkerFailed
+        span_rows(stack, x, z1, logits)
+    monkeypatch.setattr(classify, "_span_rows", failing)
+    monkeypatch.setattr(classify, "_cpus", lambda: 2)
+    threads = threading.active_count()
+    with pytest.raises(WorkerFailed):
+        predict(stack, x)
+    assert threading.active_count() == threads
+
+
+def test_callers_errstate_holds_in_both_halves():
+    # two models of different class counts: the span layout; only the
+    # worker's half overflows
+    stack = ModelStack([init_model(8, 6, 3, seed=1, weight_scale=1.0),
+                        init_model(8, 6, 4, seed=2, weight_scale=1.0)])
+    x = np.ones((4, 8))
+    x[2:] = 1e308
+    with worker_rows(split_work=0) as split:
+        with pytest.warns(RuntimeWarning):
+            predict(stack, x)
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("error")
+            probs = predict(stack, x)
+    assert split == [2, 2]
+    assert np.isfinite(probs[:2]).all() and np.isnan(probs[2:]).all()
+
+
+def test_concurrent_split_batches_keep_their_rows():
+    # More callers than CPUs, each splitting its batches, with the
+    # interpreter switching threads as often as it can: a row written by the
+    # wrong thread, or a half left unwritten, changes some caller's answer.
+    stack = ModelStack([init_model(64, 32, k, seed=k) for k in (5, 9, 7)])
+    batches = [np.random.default_rng(i).normal(size=(8 + i, 64)) for i in range(6)]
+    want = [np.vstack([predict(stack, row[None]) for row in x]) for x in batches]
+    got = {}
+
+    def caller(i):
+        for _ in range(20):
+            got.setdefault(i, []).append(predict(stack, batches[i]))
+    interval = sys.getswitchinterval()
+    with worker_rows(split_work=0) as split:
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=(i,)) for i in range(len(batches))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(split) == 20 * len(batches)
+    for i, x in enumerate(batches):
+        assert len(got[i]) == 20
+        assert all(np.array_equal(g, want[i]) for g in got[i]), i
+
+
+@pytest.mark.parametrize("one_cpu", ["affinity", "cpu_count"])
+def test_a_one_cpu_process_does_not_split(monkeypatch, one_cpu):
+    stack, x = _desk_batch()
+    with worker_rows() as split:
+        want = predict(stack, x)
+    assert split == [32]
+    if one_cpu == "affinity":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    else:  # a platform without the affinity call
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    with worker_rows(cpus=None) as split:
+        got = predict(stack, x)
+    assert split == []
+    assert np.array_equal(got, want)
 
 
 def _stack_of(models):

@@ -5,13 +5,14 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .core import TrainingSet, Viewpoint, require_integers, require_reals
+from .core import TrainingSet, normalize_angle, require_integers, require_reals
 
 FEATURE_MAGIC = b"FVEC"
 FEATURE_VERSION = 1
@@ -168,6 +169,10 @@ def read_json(path, what: str):
         raise DataError(f"{path}: invalid JSON: {exc}") from exc
 
 
+_MANIFEST_KINDS = {int: "an integer", str: "a path string", list: "a list of season entries",
+                   dict: "an object"}
+
+
 def load_manifest(path) -> tuple[int, list[DatasetBundle]]:
     """Read a dataset manifest: feature dimension plus one entry per season.
 
@@ -176,27 +181,28 @@ def load_manifest(path) -> tuple[int, list[DatasetBundle]]:
     path = Path(path)
     doc = read_json(path, "manifest")
 
-    def integer(entry: dict, key: str) -> int:
-        value = entry[key]
-        if isinstance(value, bool) or not isinstance(value, int):  # JSON true would pass as 1
-            raise DataError(f"{path}: malformed manifest field: {key} must be an integer, "
-                            f"got {value!r}")
+    def field(entry, key, kind: type, where: str = ""):
+        try:
+            value = entry[key]
+        except KeyError:
+            raise DataError(f"{path}: manifest missing field: {where}{key!r}") from None
+        if isinstance(value, bool) or not isinstance(value, kind):  # JSON true would pass as 1
+            raise DataError(f"{path}: malformed manifest field: {where}{key} must be "
+                            f"{_MANIFEST_KINDS[kind]}, got {reprlib.repr(value)}")
         return value
 
-    try:
-        f_dim = integer(doc, "feature_dim")
-        entries = doc["seasons"]
-        bundles = [
-            DatasetBundle(
-                poses_path=path.parent / e["poses"],
-                features_path=path.parent / e["features"],
-                label=str(e.get("label", "")),
-                season_id=integer(e, "season_id"),
-            )
-            for e in entries
-        ]
-    except (KeyError, TypeError) as exc:
-        raise DataError(f"{path}: manifest missing field: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DataError(f"{path}: malformed manifest: must be a JSON object, "
+                        f"got {reprlib.repr(doc)}")
+    f_dim = field(doc, "feature_dim", int)
+    entries = field(doc, "seasons", list)
+    bundles = []
+    for i in range(len(entries)):
+        e, where = field(entries, i, dict, "season entry "), f"season entry {i}: "
+        bundles.append(DatasetBundle(
+            poses_path=path.parent / field(e, "poses", str, where),
+            features_path=path.parent / field(e, "features", str, where),
+            label=str(e.get("label", "")), season_id=field(e, "season_id", int, where)))
     if f_dim < 1:
         raise DataError(f"{path}: feature_dim must be >= 1, got {f_dim}")
     if not bundles:
@@ -250,20 +256,17 @@ def _unit_vectors(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def _loop_waypoints(cfg: SynthConfig) -> list[Viewpoint]:
-    # Regular polygon whose side equals the place spacing, so consecutive
-    # waypoints are exactly loop_length / n_places apart.
+def _loop_waypoints(cfg: SynthConfig) -> np.ndarray:
+    """(P, 3) x, y, heading of the place waypoints: a regular polygon whose
+    side equals the place spacing, each heading towards the next waypoint."""
     n = cfg.n_places
     if n == 1:
-        return [Viewpoint(0.0, 0.0, 0.0)]
+        return np.zeros((1, 3))
     radius = cfg.place_spacing / (2.0 * math.sin(math.pi / n))
     pts = [(radius * math.cos(2 * math.pi * p / n), radius * math.sin(2 * math.pi * p / n))
            for p in range(n)]
-    out = []
-    for p, (x, y) in enumerate(pts):
-        nx, ny = pts[(p + 1) % n]
-        out.append(Viewpoint(x, y, math.atan2(ny - y, nx - x)))
-    return out
+    return np.array([(x, y, normalize_angle(math.atan2(ny - y, nx - x)))
+                     for (x, y), (nx, ny) in zip(pts, pts[1:] + pts[:1])])
 
 
 def synth_generate(cfg: SynthConfig) -> list[TrainingSet]:
@@ -271,36 +274,33 @@ def synth_generate(cfg: SynthConfig) -> list[TrainingSet]:
 
     All seasons share the waypoint loop; the feature of an image at place p
     in season s is place_signal*u_p + season_drift*w_s + noise*eps with
-    fixed seeded unit vectors u_p, w_s and per-image Gaussian eps.
+    fixed seeded unit vectors u_p, w_s and per-image Gaussian eps. Row i is
+    image i, and each place's images_per_place images are consecutive rows.
+    A season draws one standard-normal block from its own stream: row i is
+    image i's x, y and heading jitter (absent when pose_jitter is 0), then
+    its eps.
     """
     master = np.random.default_rng(cfg.seed)
-    place_vecs = _unit_vectors(master, cfg.n_places, cfg.feature_dim)
-    season_vecs = _unit_vectors(master, cfg.n_seasons, cfg.feature_dim)
+    signals = cfg.place_signal * _unit_vectors(master, cfg.n_places, cfg.feature_dim)
+    drifts = cfg.season_drift * _unit_vectors(master, cfg.n_seasons, cfg.feature_dim)
+    p, m, f = cfg.n_places, cfg.images_per_place, cfg.feature_dim
+    j = 3 if cfg.pose_jitter > 0 else 0
+    jitter = (cfg.pose_jitter, cfg.pose_jitter, 0.1 * cfg.pose_jitter)
     waypoints = _loop_waypoints(cfg)
-    n = len(waypoints) * cfg.images_per_place
-    place = np.repeat(np.arange(len(waypoints)), cfg.images_per_place)
-    seasons = []
-    for s in range(cfg.n_seasons):
-        rng = np.random.default_rng((cfg.seed, 7919, s))
-        poses = np.empty((n, 3))
-        feats = np.empty((n, cfg.feature_dim))
-        for idx, p in enumerate(place.tolist()):
-            wp = waypoints[p]
-            if cfg.pose_jitter > 0:
-                dx, dy = rng.normal(0.0, cfg.pose_jitter, size=2)
-                dth = rng.normal(0.0, 0.1 * cfg.pose_jitter)
-            else:
-                dx = dy = dth = 0.0
-            poses[idx] = (wp.x + dx, wp.y + dy, wp.theta + dth)
-            feats[idx] = (
-                cfg.place_signal * place_vecs[p]
-                + cfg.season_drift * season_vecs[s]
-                + cfg.noise * rng.standard_normal(cfg.feature_dim)
-            )
-        with np.errstate(over="ignore"):  # TrainingSet refuses the infinities
-            feats = feats.astype(np.float32)
-        seasons.append(TrainingSet(
-            season_id=s + 1, label=f"synth-season-{s + 1}",
-            timestamps=np.arange(n, dtype=np.int64) * 1_000_000, poses=poses, features=feats,
-        ))
-    return seasons
+
+    def season(s: int, drift: np.ndarray) -> TrainingSet:
+        block = np.random.default_rng((cfg.seed, 7919, s)).standard_normal((p * m, j + f))
+        eps = block.reshape(p, m, j + f)[:, :, j:]  # a view: the writes below land in block
+        with np.errstate(over="ignore", invalid="ignore"):  # TrainingSet refuses the infinities
+            # 0.0 + scale * z is the arithmetic of Generator.normal(0.0, scale)
+            poses = np.repeat(waypoints, m, axis=0) + (0.0 + block[:, :3] * jitter if j else 0.0)
+            eps *= cfg.noise
+            for rows, signal in zip(eps, signals):
+                rows += signal + drift
+            feats = eps.astype(np.float32).reshape(p * m, f)
+        del block, eps, rows  # free the draws before TrainingSet copies the columns
+        return TrainingSet(season_id=s + 1, label=f"synth-season-{s + 1}",
+                           timestamps=np.arange(p * m, dtype=np.int64) * 1_000_000,
+                           poses=poses, features=feats)
+
+    return [season(s, drift) for s, drift in enumerate(drifts)]

@@ -1,10 +1,12 @@
 import argparse
 import hashlib
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from seasonvpc import DivergenceError, load_state, missions, states_equal
 from seasonvpc.cli import main
@@ -642,3 +644,38 @@ def test_svg_reports_are_pinned(tmp_path):
            for out, name in ((run_out, "schedule.svg"), (run_out, "success.svg"),
                              (pd_out, "partition.svg"))}
     assert got == PINNED_SVGS
+
+
+STRATEGY_SECTIONS = st.one_of(
+    st.just({"kind": "ST1"}),
+    st.builds(lambda n: {"kind": "ST2", "n_bar": n}, st.integers(1, 3)),
+    st.builds(lambda k, f: {"kind": "ST3", "k_bar": k, "st3_filter": f},
+              st.integers(1, 3), st.booleans()),
+)
+SPEC_DOCS = st.fixed_dictionaries({
+    "missions": st.integers(1, 3),
+    "seed": st.integers(0, 1000),
+    "capacity": st.integers(1, 4),
+    "fusion_x": st.integers(1, 12),
+    "mode": st.sampled_from(["rank1", "topx"]),
+    "error_thresholds": st.lists(st.sampled_from([5.0, 10.0, 20.0, 35.5]), min_size=1,
+                                 max_size=3, unique=True),
+    "strategy": STRATEGY_SECTIONS,
+    "synth": st.builds(lambda p, m, f: {"n_places": p, "loop_length": 20.0 * p,
+                                        "images_per_place": m, "feature_dim": f},
+                       st.integers(2, 6), st.integers(1, 4), st.integers(2, 8)),
+    "train": st.builds(lambda e, lr: {"epochs": e, "learning_rate": lr, "hidden": 4},
+                       st.integers(1, 3), st.sampled_from([0.05, 0.5])),
+})
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=SPEC_DOCS, upd=st.sampled_from(sorted(PARTITION_METHODS)))
+def test_generated_specs_never_exit_3(doc, upd):
+    # Every valid spec either runs or is refused with a typed error: exit 0,
+    # 1 (usage) or 2 (data), never 3, an internal error.
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = Path(tmp) / "spec.json"
+        spec.write_text(json.dumps(doc))
+        code = main(["run", "--spec", str(spec), "--upd", upd, "--out", str(Path(tmp) / "out")])
+    assert code in (0, 1, 2)

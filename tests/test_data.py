@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -221,6 +222,46 @@ def test_manifest_integer_field_of_another_type_is_data_error(tmp_path, field, v
         load_manifest(manifest)
 
 
+ENTRY = {"poses": "p.csv", "features": "f.bin", "label": "x", "season_id": 1}
+BAD_FIELDS = {
+    "poses_number": ({"feature_dim": 2, "seasons": [{**ENTRY, "poses": 3}]},
+                     "season entry 0: poses must be a path string, got 3"),
+    "features_list": ({"feature_dim": 2, "seasons": [{**ENTRY, "features": ["f.bin"]}]},
+                      "season entry 0: features must be a path string, got ['f.bin']"),
+    "seasons_string": ({"feature_dim": 2, "seasons": "abc"},
+                       "seasons must be a list of season entries, got 'abc'"),
+    "seasons_object": ({"feature_dim": 2, "seasons": {"poses": "p.csv"}},
+                       "seasons must be a list of season entries, got {'poses': 'p.csv'}"),
+    "entry_number": ({"feature_dim": 2, "seasons": [ENTRY, 5]},
+                     "season entry 1 must be an object, got 5"),
+    "top_level_list": ([{"feature_dim": 2, "seasons": [ENTRY]}],
+                       "malformed manifest: must be a JSON object, got [{"),
+    "top_level_null": (None, "malformed manifest: must be a JSON object, got None"),
+    "poses_missing": ({"feature_dim": 2, "seasons": [ENTRY, {"features": "f.bin"}]},
+                      "manifest missing field: season entry 1: 'poses'"),
+    "seasons_missing": ({"feature_dim": 2}, "manifest missing field: 'seasons'"),
+}
+
+
+@pytest.mark.parametrize("doc, message", BAD_FIELDS.values(), ids=BAD_FIELDS)
+def test_manifest_field_missing_or_of_the_wrong_type_is_named(tmp_path, doc, message):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(doc))
+    with pytest.raises(DataError) as info:
+        load_manifest(manifest)
+    assert message in str(info.value)
+
+
+@pytest.mark.parametrize("label, read", [(5, "5"), (None, "None"), (..., "")])
+def test_manifest_label_is_lenient(tmp_path, label, read):
+    entry = {k: v for k, v in ENTRY.items() if k != "label"}
+    if label is not ...:
+        entry["label"] = label
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"feature_dim": 2, "seasons": [entry]}))
+    assert load_manifest(manifest)[1][0].label == read
+
+
 def test_manifest_missing_file(tmp_path):
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps({"feature_dim": 2, "seasons": [
@@ -278,6 +319,75 @@ def test_synth_place_spacing_is_euclidean_hop():
     (x0, y0, _), (x1, y1, _) = season.poses[:2].tolist()
     hop = math.hypot(x1 - x0, y1 - y0)
     assert hop == pytest.approx(cfg.place_spacing)
+
+
+# SHA-256 of each generated season's timestamps, poses and features (dtype,
+# shape and bytes of each, in that order), recorded while the generator still
+# drew its seasons image by image. Criterion 11's spec generates missions + 1
+# seasons from its synth section and top-level seed.
+SYNTH_CONFIGS = {
+    "default": SynthConfig(),
+    "no_jitter": SynthConfig(pose_jitter=0.0),
+    "one_place": SynthConfig(n_places=1),
+    "one_feature_no_noise": SynthConfig(feature_dim=1, noise=0.0),
+    "one_image_per_place_one_season": SynthConfig(images_per_place=1, n_seasons=1),
+    "criterion_11": SynthConfig(n_places=8, loop_length=160.0, images_per_place=3,
+                                feature_dim=16, n_seasons=5, seed=11),
+}
+SYNTH_DIGESTS = {
+    "default": (
+        "a93467eb47acaa6c221cedaa2d28203f8568cae84e0b5483530aef02128dfb71",
+        "93a7f7f5521d140d991ea332365747cd6fd56706f804ec4f74854c0f70433085",
+        "d45839d52c2b73ab9146d57392a64024208b8ce00aee3bdfcec3d6b1b712319d",
+        "dca190d30599c8e664d1827d0a3a686da48f42b24d9915798441f88f95926b77",
+        "4fd8f54cd8ee48365dff9cfffb1fc8baa1703ae4022c0008c56317f893d0c31e",
+    ),
+    "no_jitter": (
+        "f139bcfb139358b06b3e7b97dff17dccbf77f2a4d84056200297aa5ef7e16dc1",
+        "6a9cf6cd28233b8ea7dafaf7e33f27af2034d7abe6e5e534088853730995220e",
+        "0dad26768da36330f648885995a78fb25b7d01d240422df149da9587fdd9c9bc",
+        "f44a0e0e5de6ccfb32b8bb071e70553b7bece1365dae045b32bedfc6371a2b79",
+        "0eb3fe42fa264e75d4ec96ddb8ee7d5dc74162df62835da823ff706bba04e8dd",
+    ),
+    "one_place": (
+        "3b3428e7f338b71540d566de753cd6d880db72d99be665ec6bcf032d6c8d4e8a",
+        "93d2c5b6dfdb1c60f4da40e15dc92edb3e51961f07168918af6f3e0f41cf8fb7",
+        "4d55c78d7f8f1f01bd2abf33b5935db44119fc6a3e9ee0144c141b9de0e8c2b9",
+        "5b5507ceae86ec8978b3fe637d8f19228fdc57f84a47e7ac913e60d81a06266e",
+        "85973554eb626e61e3975f92cd335091b7b6c9c98941cbb5af3873f530989c63",
+    ),
+    "one_feature_no_noise": (
+        "a482c01d75e838e6ae5e34a1a263bed3843b55108d26db47e6d9aa49acc772b0",
+        "4777f265d75cdfc4a70c925c58c1f6653165c0ccb5d97d3b9f329456028d2d40",
+        "c88bdb1edcc1ef40028a0cd6367beff8e3921d1ea462b97e3971826fb6987338",
+        "193018d025a6edb615848f19d965ebcb5734c02a4373c983d70e2daccc1967d7",
+        "19bfcb1b5064207e26928baca1a0ce28b64a9fe59432e4888e3398a3a6e9f58b",
+    ),
+    "one_image_per_place_one_season": (
+        "cf6fce50b0b3d01b509f08e988922fdceb66a3594367a50ca46333b243ac5457",
+    ),
+    "criterion_11": (
+        "e7ecd98f6b59108a3b89743db03a02f3a4323cd6d93934548541501aed562c71",
+        "666fe19677d51b6f362d51401f1f99323280755c27c754c6be03559310a752f7",
+        "9c51d9d3c3859f9eda651ffbc90a61c7ba0b3c2e982037e0ad917265607720d2",
+        "7b93e90871d5ed3c14dc30f8604ee1d03f6c1a426bafa149f8d125250cbd1dd3",
+        "45da9f558375ae96750bee45a6d842ea79e8edb5770908cd2c1bba42e6083135",
+    ),
+}
+
+
+def _season_digest(season) -> str:
+    h = hashlib.sha256()
+    for a in (season.timestamps, season.poses, season.features):
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", SYNTH_CONFIGS)
+def test_synth_seasons_match_the_pinned_digests(name):
+    got = tuple(_season_digest(t) for t in synth_generate(SYNTH_CONFIGS[name]))
+    assert got == SYNTH_DIGESTS[name]
 
 
 def test_importing_data_leaves_concurrent_futures_unloaded():

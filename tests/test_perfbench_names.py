@@ -3,6 +3,7 @@ name, and reads a few attributes of what they return. A rename or deletion
 in the package must fail here, in tier 1, not only when the benchmark runs."""
 
 import importlib
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -90,6 +91,23 @@ def test_traced_training_spans_carry_their_counts(monkeypatch):
     counts = {name: c for _sid, _parent, _trace, _rep, name, _start, _end, c in tracer.spans}
     for name in ("classify.train", "classify.fine_tune"):
         assert counts[name]["sgd_steps"] > 0 and counts[name]["gflop"] > 0, name
+
+
+def test_the_input_generator_loads_no_package_module(tmp_path):
+    # perfbench/gen.py writes the benchmark's inputs with its own generator.
+    # While neither importing it nor writing a workload loads seasonvpc, no
+    # change to the package's generator can move the benchmark's inputs. The
+    # package is importable in the child, so an import of it would show.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(PERFBENCH), str(PERFBENCH.parent / "src"), os.environ.get("PYTHONPATH", "")]))}
+    code = ("import sys, gen; from pathlib import Path; "
+            "gen.write_workload(Path(sys.argv[1]), gen.WORKLOADS['smoke'], 0); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'seasonvpc'))")
+    child = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                           capture_output=True, text=True, timeout=60)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "[]"
+    assert any(tmp_path.iterdir())
 
 
 def test_perfbench_smoke_passes():

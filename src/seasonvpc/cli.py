@@ -347,7 +347,7 @@ def main(argv=None) -> int:
     except (DataError, StateFormatError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
-    except Exception:  # pragma: no cover - defensive
+    except Exception:  # a fault of the program itself
         log.exception("internal error")
         return 3
 

@@ -102,11 +102,18 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class TrainingSet:
+class TrainingSet(Sequence):
     """One season as columns: timestamps (N,) int64 microseconds, strictly
     increasing; poses (N, 3) float64 x, y, heading; features (N, F).
 
-    The arrays are read-only copies of the inputs, headings normalized.
+    The arrays are read-only copies of the inputs, headings normalized. The
+    season is also the sequence of its images as `MappedImage` rows. `len()`
+    builds none, and the batch path (`missions.run_vpc`, `success_ratio`)
+    reads the columns and builds none; a row built by indexing stays on the
+    season, so `season[i] is season[i]` (concurrent first reads may each
+    build an equal row). Building every row for a length query slowed the
+    next `run_vpc` (garbage-collector work), and rebuilding a row on each
+    read slowed the locate calls, which send one row per call.
     """
 
     season_id: int
@@ -114,6 +121,7 @@ class TrainingSet:
     timestamps: np.ndarray
     poses: np.ndarray
     features: np.ndarray
+    _rows: list = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.season_id < 1:
@@ -144,34 +152,10 @@ class TrainingSet:
         object.__setattr__(self, "timestamps", _read_only(ts))
         object.__setattr__(self, "poses", _read_only(poses))
         object.__setattr__(self, "features", _read_only(feats))
+        object.__setattr__(self, "_rows", [None] * n)
 
     def __len__(self) -> int:
         return len(self.timestamps)
-
-    @property
-    def images(self) -> "SeasonRows":
-        """The season as per-image rows, a new view on each read."""
-        return SeasonRows(self)
-
-
-@dataclass(frozen=True)
-class SeasonRows(Sequence):
-    """A season's images as `MappedImage` rows. `len()` builds none, and the
-    batch path (`missions.run_vpc`, `success_ratio`) reads the season's
-    columns and builds none; a row built by indexing stays on the view, so
-    `view[i] is view[i]` (concurrent first reads may each build an equal
-    row). Building every row for a length query slowed the next `run_vpc`
-    (garbage-collector work), and rebuilding a row on each read slowed the
-    locate calls, which send one row per call."""
-
-    season: TrainingSet
-    _rows: list = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_rows", [None] * len(self.season))
-
-    def __len__(self) -> int:
-        return len(self._rows)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
@@ -179,11 +163,15 @@ class SeasonRows(Sequence):
         row = self._rows[i]  # negative indices, IndexError
         if row is None:
             i = range(len(self._rows))[i]
-            s = self.season
             row = self._rows[i] = MappedImage(
-                id=i, timestamp=int(s.timestamps[i]), viewpoint=Viewpoint(*s.poses[i].tolist()),
-                feature=s.features[i])
+                id=i, timestamp=int(self.timestamps[i]),
+                viewpoint=Viewpoint(*self.poses[i].tolist()), feature=self.features[i])
         return row
+
+    @property
+    def images(self) -> TrainingSet:
+        """The season itself, as the sequence of its rows."""
+        return self
 
 
 def step_lengths(poses: np.ndarray) -> list[float]:

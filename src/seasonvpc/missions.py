@@ -24,7 +24,6 @@ from .core import (
     MappedImage,
     PartitionSummary,
     RetrainHistory,
-    SeasonRows,
     TrainingSet,
     _read_only,
     membership_labels,
@@ -87,23 +86,23 @@ class MissionConfig:
             raise ValueError("success_mode must be rank1 or topx")
 
 
-def queries_from_set(test_set: TrainingSet) -> SeasonRows:
-    """A test season as global-localization queries: its row view, each row
-    carrying a feature vector and a mapped (ground-truth) viewpoint."""
-    return test_set.images
+def queries_from_set(test_set: TrainingSet) -> TrainingSet:
+    """A test season as global-localization queries: the season itself, each
+    row carrying a feature vector and a mapped (ground-truth) viewpoint."""
+    return test_set
 
 
-# The queries' features and ground-truth x, y: a season view's columns, or
-# read row by row from MappedImage rows (a locate call's [row], a slice).
+# The queries' features and ground-truth x, y: a season's columns, or read
+# row by row from MappedImage rows (a locate call's [row], a slice).
 def _query_features(queries: Sequence[MappedImage]) -> np.ndarray:
-    if isinstance(queries, SeasonRows):
-        return queries.season.features
+    if isinstance(queries, TrainingSet):
+        return queries.features
     return np.array([q.feature for q in queries], dtype=np.float64)
 
 
 def _query_xy(queries: Sequence[MappedImage]) -> np.ndarray:
-    if isinstance(queries, SeasonRows):
-        return queries.season.poses[:, :2]
+    if isinstance(queries, TrainingSet):
+        return queries.poses[:, :2]
     return np.array([(q.viewpoint.x, q.viewpoint.y) for q in queries])
 
 
@@ -178,13 +177,12 @@ def active_slots(state: EnsembleState, strategy: StrategyConfig) -> list[int]:
 
 @dataclass(frozen=True, eq=False)
 class VPCPlan:
-    """What `run_vpc` reads of a state under one strategy: the active slots,
-    their models as one `ModelStack`, and what each column of the stack's
+    """What `run_vpc` reads of a state under one strategy: the active slots'
+    models as one `ModelStack`, and what each column of the stack's
     probability rows stands for: its slot and its class within that slot,
     (C,) int64, and the class's representative pose, (C, 3) float64. The
     column arrays are read-only."""
 
-    slots: tuple[int, ...]
     stack: ModelStack
     column_slots: np.ndarray
     column_classes: np.ndarray
@@ -212,7 +210,7 @@ def vpc_plan(state: EnsembleState, strategy: StrategyConfig) -> VPCPlan:
                 f"slot {j}: {rec.model.feature_dim}" for j, rec in zip(slots, records))) from None
         widths = [rec.model.n_classes for rec in records]
         plan = vars(state).setdefault("_vpc_plans", {}).setdefault(strategy, VPCPlan(
-            tuple(slots), stack,
+            stack,
             _read_only(np.repeat(np.array(slots, dtype=np.int64), widths)),
             _read_only(np.concatenate([np.arange(k, dtype=np.int64) for k in widths])),
             _read_only(np.concatenate([rec.partition.representatives for rec in records]))))
@@ -226,7 +224,7 @@ def run_vpc(state: EnsembleState, queries: Sequence[MappedImage],
     One forward pass over all queries through the active slots'
     `ModelStack`, then one ranking of its probability rows, gathered from
     the state's `vpc_plan` into a columnar `Ranking` (the poses with
-    `np.take` along the plan's rows); a season view's feature column goes
+    `np.take` along the plan's rows); a season's feature column goes
     to `predict` as it is. Each query's row is identical to ranking each
     slot's classes and fusing the lists (`fuse`), and does not depend on
     the other queries in the batch. Pure with respect to the state's
@@ -248,7 +246,7 @@ def success_ratio(results: Ranking, queries: Sequence[MappedImage],
                   error: float, mode: str = "rank1") -> float:
     """Fraction of queries whose predicted place lies within `error` meters
     of ground truth (rank-1 candidate, or any candidate for mode "topx"),
-    read from a season view's x and y pose columns."""
+    read from a season's x and y pose columns."""
     if not len(results) or len(results) != len(queries):
         raise ValueError("results and queries must be non-empty and aligned")
     if mode not in SUCCESS_MODES:

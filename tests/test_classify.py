@@ -32,6 +32,12 @@ def test_init_model_deterministic():
     assert not same_params(a, c)
 
 
+@pytest.mark.parametrize("dims", [(0, 4, 3), (5, 0, 3), (5, 4, 0)])
+def test_init_model_refuses_a_zero_dimension(dims):
+    with pytest.raises(ValueError, match="all dimensions must be >= 1"):
+        init_model(*dims)
+
+
 def test_zero_weight_scale_gives_uniform_prediction():
     m = init_model(5, 4, 3, seed=0, weight_scale=0.0)
     p = predict(m, np.ones((1, 5)))
@@ -156,6 +162,13 @@ def test_train_requires_every_class():
     y = np.array([0, 0, 2, 2])
     with pytest.raises(ValueError):
         train(x, y, 3, TrainConfig(epochs=1))
+
+
+@pytest.mark.parametrize("bad", [3, -1])
+def test_train_refuses_a_label_out_of_range(bad):
+    x = np.zeros((4, 3))
+    with pytest.raises(ValueError, match="label out of range"):
+        train(x, np.array([0, 1, 2, bad]), 3, TrainConfig(epochs=1))
 
 
 def test_full_batch_loss_non_increasing_with_small_lr():

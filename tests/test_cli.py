@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seasonvpc import DivergenceError, load_state, missions, states_equal
+from seasonvpc import cli
 from seasonvpc.cli import main
 from seasonvpc.placedef import PARTITION_METHODS
+from seasonvpc.report import success_svg
 
 
 def _spec_file(tmp_path, **overrides):
@@ -210,6 +212,21 @@ def test_bad_flag_is_usage_error(capsys):
 def test_no_command_prints_help(capsys):
     assert main([]) == 1
     assert "seasonvpc" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]])
+def test_help_exits_0(capsys, argv):
+    assert main(argv) == 0
+    assert "usage:" in capsys.readouterr().out
+
+
+def test_a_fault_of_the_program_exits_3_and_logs_it(tmp_path, monkeypatch, capsys, caplog):
+    def broken(args):
+        raise RuntimeError("a bug")
+
+    monkeypatch.setattr(cli, "cmd_run", broken)
+    assert main(["run", "--out", str(tmp_path / "out")]) == 3
+    assert "internal error" in caplog.text and "RuntimeError: a bug" in caplog.text
 
 
 def _two_season_manifest(tmp_path, *, manifest_dim=3, file_dim=3, season_2_id=2,
@@ -512,6 +529,7 @@ MALFORMED_INPUTS = {
     "train_learning_rate_0": (RUN_SPEC, _set("train", "learning_rate", 0)),
     "train_epochs_negative": (RUN_SPEC, _set("train", "epochs", -1)),
     "partition_t_d_0": (RUN_SPEC, _set("partition", "t_d", 0)),
+    "partition_method_foo": (RUN_SPEC, _set("partition", "method", "foo")),
     "partition_k_0": (RUN_SPEC, _partition(k=0)),
     "partition_kmeans_iters_0": (RUN_SPEC, _partition(kmeans_iters=0)),
     "partition_feat_max_0": (RUN_SPEC, _set("partition", "feat_max", 0)),
@@ -644,6 +662,11 @@ def test_svg_reports_are_pinned(tmp_path):
            for out, name in ((run_out, "schedule.svg"), (run_out, "success.svg"),
                              (pd_out, "partition.svg"))}
     assert got == PINNED_SVGS
+
+
+def test_success_svg_of_no_rows_is_refused():
+    with pytest.raises(ValueError, match="no data points to plot"):
+        success_svg([], "success")
 
 
 STRATEGY_SECTIONS = st.one_of(

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from seasonvpc import (
     ClassifierRecord,
+    EnsembleState,
     PartitionConfig,
     PartitionSummary,
     PlacePartition,
@@ -186,7 +187,7 @@ def test_a_row_read_from_a_view_is_built_once(built_rows):
     for bad in (4, -5):
         with pytest.raises(IndexError):
             rows[bad]
-    assert train.images[0] is not rows[0]  # each view builds its own rows
+    assert train.images[0] is rows[0]  # the season keeps its rows
 
 
 def test_season_arrays_are_read_only_copies():
@@ -332,6 +333,16 @@ def test_partition_summary_refuses_rows_of_another_dtype_and_empty_classes():
     rows["sizes"] = 0
     with pytest.raises(ValueError, match="class of size 0"):
         PartitionSummary(rows, source_season=1, method="location")
+
+
+def test_partition_summary_equals_only_a_partition_summary():
+    assert _summary() == _summary() and _summary() != 3
+    assert _summary().__eq__(3) is NotImplemented
+
+
+def test_ensemble_state_refuses_a_negative_mission():
+    with pytest.raises(ValueError, match="mission must be >= 0"):
+        EnsembleState(mission=-1, classifiers=(), capacity=1)
 
 
 def test_classifier_record_refuses_a_non_finite_parameter_and_a_class_count_mismatch():

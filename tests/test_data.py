@@ -32,6 +32,13 @@ def test_load_poses_basic(tmp_path):
     assert poses.dtype == np.float64 and poses.tolist() == [[0, 0, 0], [1, 0, 0]]
 
 
+def test_load_poses_skips_comment_and_blank_lines(tmp_path):
+    p = tmp_path / "poses.csv"
+    p.write_text("# t,x,y,theta\n\n0,0,0,0\n   \n  # a note\n1,1,0,0\n\n")
+    timestamps, poses = load_poses(p)
+    assert timestamps.tolist() == [0, 1] and poses.tolist() == [[0, 0, 0], [1, 0, 0]]
+
+
 def test_load_poses_normalizes_theta(tmp_path):
     # headings are normalized when the loaded columns become a season
     p = tmp_path / "poses.csv"
@@ -140,6 +147,13 @@ def test_features_zero_dimension_rejected(tmp_path):
     write_features(p, np.zeros((3, 0)))
     with pytest.raises(DataError, match="dimension"):
         load_features(p)
+
+
+def test_write_features_refuses_a_1d_array(tmp_path):
+    p = tmp_path / "f.bin"
+    with pytest.raises(ValueError, match=r"features must be a \(n, F\) array"):
+        write_features(p, np.zeros(3))
+    assert not p.exists()
 
 
 def test_features_csv_fallback(tmp_path):

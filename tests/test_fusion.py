@@ -165,6 +165,12 @@ def test_fuse_rejects_empty():
         fuse([[], []], 3)
 
 
+@pytest.mark.parametrize("p", [1.5, -0.1])
+def test_global_candidate_refuses_a_probability_outside_0_1(p):
+    with pytest.raises(ValueError, match=r"probability must be in \[0, 1\]"):
+        GlobalCandidate(0, 0, p, Viewpoint(0.0, 0.0))
+
+
 def test_fused_result_rejects_increasing_probabilities():
     with pytest.raises(ValueError):
         FusedResult(ranked=(_cand(0, 0, 0.2), _cand(0, 1, 0.9)))

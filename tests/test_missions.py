@@ -234,7 +234,7 @@ def test_run_vpc_is_pure_and_deterministic():
 
 @pytest.mark.parametrize("method", PARTITION_METHODS)
 def test_a_season_view_and_its_rows_rank_and_score_alike(method):
-    """run_vpc and success_ratio read a season view's columns and a list of
+    """run_vpc and success_ratio read a season's columns and a list of
     its rows to the same bits, for 1 to 4 slots and float64 or float32
     features."""
     seasons = _synth(5)
@@ -264,6 +264,7 @@ def test_the_batch_path_builds_no_row(built_rows):
     cfg = _mc(StrategyConfig("ST1"), epochs=2)
     state = run_adaptation(initial_state(4), seasons[0], cfg)
     queries = queries_from_set(seasons[1])
+    assert queries is seasons[1] and seasons[1].images is seasons[1]
     ranking = run_vpc(state, queries, cfg)
     for mode in missions.SUCCESS_MODES:
         success_ratio(ranking, queries, 10.0, mode)
@@ -583,6 +584,11 @@ def test_save_removes_only_the_temporary_files_of_writers_that_no_longer_run(tmp
         orphan.write_bytes(b"partial")
     save_state(desk_state(0), path)
     assert sorted(tmp_path.iterdir()) == sorted([path, *kept])
+
+
+def test_mission_config_refuses_an_unknown_success_mode():
+    with pytest.raises(ValueError, match="success_mode must be rank1 or topx"):
+        MissionConfig(strategy=StrategyConfig("ST1"), success_mode="rank2")
 
 
 def test_capacity_bounded_so_slot_seeds_stay_distinct():

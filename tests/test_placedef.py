@@ -54,6 +54,12 @@ def test_location_partition_single_image():
     assert len(p.classes) == 1
 
 
+@pytest.mark.parametrize("t_d", [0.0, -1.0])
+def test_location_partition_refuses_a_non_positive_t_d(t_d):
+    with pytest.raises(ValueError, match="t_d must be positive"):
+        partition_by_location(line_training_set(3), t_d)
+
+
 def test_location_partition_no_travel_single_class():
     train = season_from_xy(np.full((9, 2), 5.0), label="still")
     p = partition_by_location(train, 18.0)
@@ -111,6 +117,11 @@ def test_kmeans_reseeds_a_cluster_that_starts_empty():
 def test_kmeans_rejects_k_above_n():
     with pytest.raises(ValueError):
         kmeans(np.zeros((3, 2)), 4)
+
+
+def test_kmeans_rejects_1d_input():
+    with pytest.raises(ValueError, match=r"features must be a \(n, F\) array"):
+        kmeans(np.zeros(3), 1)
 
 
 def test_kmeans_blob_purity_and_monotone_distortion():

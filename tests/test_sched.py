@@ -68,6 +68,16 @@ def test_score_hand_evaluations():
     assert score(ST3(1), s3, 4) == pytest.approx(1.0)
 
 
+def test_schedule_refuses_histories_of_unequal_length():
+    with pytest.raises(ValueError, match="slot histories must share one length"):
+        _schedule("10", "1")
+
+
+def test_evolve_schedule_refuses_zero_missions():
+    with pytest.raises(ValueError, match="n_missions must be >= 1"):
+        evolve_schedule(ST1, 0, 4)
+
+
 def test_score_length_mismatch():
     with pytest.raises(ValueError):
         score(ST1, _schedule("10"), 3)
@@ -197,6 +207,7 @@ def test_st3_fusion_filter_examples():
     assert st3_fusion_filter(diag, 3) == (2,)
     none_single = _schedule("1100", "0011")
     assert st3_fusion_filter(none_single, 1) == ()
+    assert st3_fusion_filter(Schedule(()), 1) == ()  # mission 0: no slot yet
 
 
 def test_st3_fusion_filter_k_beyond_mission_clamps_to_newest():

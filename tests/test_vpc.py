@@ -19,6 +19,7 @@ from seasonvpc import (
     MissionConfig,
     PartitionSummary,
     RetrainHistory,
+    Schedule,
     StrategyConfig,
     TrainingSet,
     init_model,
@@ -26,6 +27,7 @@ from seasonvpc import (
     queries_from_set,
     run_vpc,
     save_state,
+    st3_fusion_filter,
     states_equal,
 )
 
@@ -489,7 +491,8 @@ def test_plan_answers_repeated_queries_as_the_oracle_does():
                 assert [_key(r) for r in got] == want[id(cfg)][part], (cfg.strategy, part)
     for cfg in PLAN_CONFIGS:
         assert vpc_plan(state, cfg.strategy) is vpc_plan(state, cfg.strategy)
-        assert vpc_plan(state, cfg.strategy).slots == tuple(active_slots(state, cfg.strategy))
+        column_slots = vpc_plan(state, cfg.strategy).column_slots
+        assert np.unique(column_slots).tolist() == active_slots(state, cfg.strategy)
 
 
 def test_two_states_queried_alternately_keep_their_own_answers():
@@ -538,7 +541,7 @@ def test_plan_lays_out_the_active_slots_columns():
         other, ClassifierRecord(RetrainHistory((0, 0, 0, 1)), b,
                                 _trained(init_model(8, 6, 3, seed=3)))))
     plan = vpc_plan(state, StrategyConfig("ST3", k_bar=4))
-    assert plan.slots == (1, 3)
+    assert active_slots(state, StrategyConfig("ST3", k_bar=4)) == [1, 3]
     assert plan.column_slots.tolist() == [1, 1, 3, 3, 3]
     assert plan.column_classes.tolist() == [0, 1, 0, 1, 2]
     assert np.array_equal(plan.column_poses,
@@ -546,3 +549,17 @@ def test_plan_lays_out_the_active_slots_columns():
     assert plan.column_slots.dtype == plan.column_classes.dtype == np.int64
     for column in (plan.column_slots, plan.column_classes, plan.column_poses):
         assert not column.flags.writeable
+
+
+def test_plan_fuses_every_slot_when_no_slot_was_fine_tuned_once():
+    """No history holds exactly one 1-bit, so the ST3 filter chooses none
+    and every slot is fused."""
+    rng = np.random.default_rng(52)
+    state = EnsembleState(mission=4, capacity=4, classifiers=tuple(
+        ClassifierRecord(RetrainHistory(bits), _partition(rng, 2),
+                         _trained(init_model(8, 6, 2, seed=slot)))
+        for slot, bits in enumerate(((1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (1, 1, 1, 1)))))
+    strategy = StrategyConfig("ST3", k_bar=4)
+    assert st3_fusion_filter(Schedule(tuple(c.history for c in state.classifiers)), 4) == ()
+    assert active_slots(state, strategy) == [0, 1, 2, 3]
+    assert vpc_plan(state, strategy).column_slots.tolist() == [0, 0, 1, 1, 2, 2, 3, 3]

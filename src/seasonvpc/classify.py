@@ -10,7 +10,6 @@ from __future__ import annotations
 import contextvars
 import math
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,8 +154,9 @@ def _forward(m: ModelParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
 # of H 64 (one OpenBLAS thread, x86-64) took 101-107 ms unblocked, where
 # every row streams the whole 2 MiB w1 from L3 again, and 58-60 ms in two
 # 32-row blocks. A w1 within BLOCK_BYTES is one block, and so is a stack of
-# models of one shape whose weights together fit in it (`ModelStack`'s
-# stacked layout): it copies them, so a stack copies at most BLOCK_BYTES.
+# two or more models of one shape whose weights together fit in it
+# (`ModelStack`'s stacked layout): it copies them, so a stack copies at most
+# BLOCK_BYTES.
 BLOCK_BYTES = 1 << 20
 # Blocks start on, and span, multiples of this many rows. This is not a BLAS
 # contract: it was found by testing against the unblocked per-row product
@@ -181,16 +181,17 @@ class ModelStack:
     """Models of one input width as one network, their hidden units and
     classes side by side (hidden ΣH, n_classes C); width is their common
     class count, None if they differ. Immutable by convention. Built with
-    Python integers, and for one model without a copy (`predict` of one).
+    Python integers.
 
     The layout is chosen by shape alone, never by batch:
-    - Stacked, when every model has one (H, K) and their w1 and w2 together
-      fit in BLOCK_BYTES: w1t (S, 1, F, H) and w2t (S, H, K) hold each
-      w1.T and w2.T, and b1 is (S, 1, 1, H). For several models these are
-      copies, at most BLOCK_BYTES; for one, views.
-    - Spans, otherwise (w1t is None): body holds each w1 row block's .T
-      (`_row_blocks`) and hidden-unit span, heads each w2.T and its
-      hidden-unit and class spans, all views; b1 concatenates the biases.
+    - Stacked, when two or more models share one (H, K) and their w1 and w2
+      together fit in BLOCK_BYTES: w1t (S, 1, F, H) and w2t (S, H, K) hold
+      copies of each w1.T and w2.T, at most BLOCK_BYTES, and b1 is
+      (S, 1, 1, H).
+    - Spans, otherwise, a stack of one model included (w1t is None): body
+      holds each w1 row block's .T (`_row_blocks`) and hidden-unit span,
+      heads each w2.T and its hidden-unit and class spans, all views; b1
+      concatenates the biases.
     b2 concatenates the models' biases in either layout."""
 
     def __init__(self, models: list[ModelParams]) -> None:
@@ -202,18 +203,16 @@ class ModelStack:
         shapes = [m.w2.shape for m in models]  # (K, H) each
         s, (k, hidden) = len(models), shapes[0]
         self.width = k if len({c for c, _ in shapes}) == 1 else None
-        self.b1, self.b2 = (models[0].b1, models[0].b2) if s == 1 else (
-            np.concatenate([m.b1 for m in models]), np.concatenate([m.b2 for m in models]))
-        if shapes.count(shapes[0]) == s and 8 * s * hidden * (f_dim + k) <= BLOCK_BYTES:
+        self.b1 = np.concatenate([m.b1 for m in models])
+        self.b2 = np.concatenate([m.b2 for m in models])
+        if s > 1 and shapes.count(shapes[0]) == s and 8 * s * hidden * (f_dim + k) <= BLOCK_BYTES:
             self.hidden, self.n_classes, self.body, self.heads = s * hidden, s * k, (), ()
             self.b1 = self.b1.reshape(s, 1, 1, hidden)
-            if s == 1:
-                self.w1t, self.w2t = models[0].w1.T[None, None], models[0].w2.T[None]
-            else:  # each slice F-contiguous, as w1.T and w2.T are: the same GEMVs
-                self.w1t = np.concatenate([m.w1 for m in models]).reshape(
-                    s, hidden, f_dim).transpose(0, 2, 1)[:, None]
-                self.w2t = np.concatenate([m.w2 for m in models]).reshape(
-                    s, k, hidden).transpose(0, 2, 1)
+            # each slice F-contiguous, as w1.T and w2.T are: the same GEMVs
+            self.w1t = np.concatenate([m.w1 for m in models]).reshape(
+                s, hidden, f_dim).transpose(0, 2, 1)[:, None]
+            self.w2t = np.concatenate([m.w2 for m in models]).reshape(
+                s, k, hidden).transpose(0, 2, 1)
             return
         self.w1t = self.w2t = None
         body, heads, h0, k0 = [], [], 0, 0
@@ -253,25 +252,20 @@ def _span_rows(stack: ModelStack, x: np.ndarray, z1: np.ndarray, logits: np.ndar
 
 def _split_rows(stack: ModelStack, x: np.ndarray, z1: np.ndarray, logits: np.ndarray) -> None:
     """_span_rows over the batch, its first half in the caller and its second
-    in one worker thread, which runs in a copy of the caller's context (so
-    under the caller's `np.errstate`), is joined before this returns, and
-    whose exception is raised here."""
-    h = len(x) // 2
-    errors = []
+    as one executor future, run in a copy of the caller's context (so under
+    the caller's `np.errstate`); the executor joins its worker before this
+    returns, and `result()` raises the worker's exception here.
 
-    def rest() -> None:
-        try:
-            _span_rows(stack, x[h:], z1[h:], logits[h:])
-        except BaseException as e:  # raised in the caller, after the join
-            errors.append(e)
-    worker = threading.Thread(target=contextvars.copy_context().run, args=(rest,))
-    worker.start()
-    try:
+    concurrent.futures is imported on first use: it loads logging, which
+    `import seasonvpc` does not pay for."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    h = len(x) // 2
+    with ThreadPoolExecutor(1) as pool:
+        rest = pool.submit(contextvars.copy_context().run, _span_rows,
+                           stack, x[h:], z1[h:], logits[h:])
         _span_rows(stack, x[:h], z1[:h], logits[:h])
-    finally:
-        worker.join()
-    if errors:
-        raise errors[0]
+        rest.result()
 
 
 # A span-layout batch whose first layer takes at least this many
@@ -312,13 +306,13 @@ def predict(m: ModelParams | ModelStack, features: np.ndarray) -> np.ndarray:
     one call per span: the body model-outer, so each w1 is reused across
     the rows while in cache, the heads row-outer, straight into the logits.
 
-    A span-layout batch of at least 2 rows and SPLIT_WORK first-layer
-    multiply-adds, in a process that may run on 2 CPUs or more, is split
-    at n // 2: one worker thread runs the second half while the caller runs
-    the first, each writing its own rows of the arrays allocated here. Every
-    row still runs the same per-row calls, so its bits are those of its
-    single-row call. Single rows, stacked stacks and one-CPU processes never
-    split.
+    A model alone is a span stack of one. A span-layout batch of at least
+    2 rows and SPLIT_WORK first-layer multiply-adds, in a process that may
+    run on 2 CPUs or more, is split at n // 2: one executor future runs the
+    second half while the caller runs the first, each writing its own rows
+    of the arrays allocated here. Every row still runs the same per-row
+    calls, so its bits are those of its single-row call. Single rows,
+    stacked stacks and one-CPU processes never split.
     """
     stack = ModelStack([m]) if isinstance(m, ModelParams) else m
     x = np.asarray(features, dtype=np.float64)

@@ -151,8 +151,6 @@ def st3_fusion_filter(schedule: Schedule, k_bar: int) -> tuple[int, ...]:
     """Slots with exactly one 1-bit whose histories best match the k_bar
     affinity weights; empty when no slot was fine-tuned exactly once."""
     i = schedule.mission
-    if i == 0:
-        return ()
     st3 = StrategyConfig("ST3", k_bar=k_bar)
     scored = [(idx, slot_score(st3, h, i))
               for idx, h in enumerate(schedule.histories) if ones_count(h) == 1]

@@ -7,12 +7,14 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from seasonvpc import (
     ClassifierRecord,
@@ -46,6 +48,7 @@ from seasonvpc.missions import SINGLETON_WARN_FRACTION, StateFormatError
 from seasonvpc.placedef import PARTITION_METHODS
 
 from conftest import history, same_params
+from loop_oracle import run_reference
 
 
 def _synth(n_seasons=5, seed=0, **kw):
@@ -375,6 +378,49 @@ def test_run_season_saves_every_season_it_runs(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["state.svpc"]
 
 
+LOOP_STRATEGIES = st.one_of(
+    st.just(StrategyConfig("ST1")),
+    st.builds(lambda n: StrategyConfig("ST2", n_bar=n), st.integers(1, 3)),
+    st.builds(lambda k, f: StrategyConfig("ST3", k_bar=k, st3_filter=f),
+              st.integers(1, 3), st.booleans()),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(strategy=LOOP_STRATEGIES, capacity=st.integers(1, 4), n_missions=st.integers(1, 5),
+       upd=st.sampled_from(PARTITION_METHODS), k=st.none() | st.integers(1, 3),
+       fusion_x=st.integers(1, 12), mode=st.sampled_from(missions.SUCCESS_MODES),
+       thresholds=st.lists(st.sampled_from([5.0, 10.0, 20.0, 35.5]), min_size=1, max_size=3,
+                           unique=True),
+       places=st.integers(2, 6), per_place=st.integers(1, 4), f_dim=st.integers(2, 8),
+       epochs=st.integers(1, 3), learning_rate=st.sampled_from([0.05, 0.5]),
+       batch_size=st.sampled_from([3, 32]), seed=st.integers(0, 1000))
+def test_the_season_loop_equals_the_loop_oracle(strategy, capacity, n_missions, upd, k, fusion_x,
+                                                mode, thresholds, places, per_place, f_dim,
+                                                epochs, learning_rate, batch_size, seed):
+    # Every mission of the package's season step, state, ranking and ratios,
+    # bit for bit against the loop written from the per-stage oracles.
+    seasons = synth_generate(SynthConfig(n_places=places, loop_length=20.0 * places,
+                                         images_per_place=per_place, feature_dim=f_dim,
+                                         n_seasons=n_missions + 1, seed=seed))
+    cfg = MissionConfig(
+        strategy=strategy,
+        partition=PartitionConfig(method=upd, k=None if k is None else min(k, places * per_place),
+                                  seed=seed),
+        train=TrainConfig(learning_rate=learning_rate, epochs=epochs, batch_size=batch_size,
+                          hidden=4, seed=seed),
+        fusion_x=fusion_x, capacity=capacity, error_thresholds=tuple(thresholds),
+        success_mode=mode)
+    state = initial_state(capacity)
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, (want_state, want_rows, want_ratios) in enumerate(run_reference(seasons, cfg), 1):
+            state, ranking, ratios = missions.run_season(state, seasons[i - 1], seasons[i], cfg,
+                                                         Path(tmp) / "state.svpc")
+            assert states_equal(state, want_state), i
+            assert ranking == want_rows, i
+            assert ratios == want_ratios, i
+
+
 def test_adaptation_warns_once_when_most_classes_are_singletons(caplog):
     season = synth_generate(SynthConfig())[0]
     cfg = MissionConfig(strategy=StrategyConfig("ST1"), capacity=1,
@@ -540,6 +586,23 @@ def test_importing_the_package_leaves_out_the_cli_and_logging():
         filter(None, [str(tests.parent / "src"), os.environ.get("PYTHONPATH")]))}
     code = ("import sys, seasonvpc; print(*(m for m in ('logging', 'argparse', 'seasonvpc.cli', "
             "'seasonvpc.report') if m in sys.modules))")
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                           text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.split() == []
+
+
+def test_importing_the_package_loads_neither_logging_nor_concurrent_futures():
+    # Two imports are deferred to the call that needs them: run_adaptation's
+    # warning imports logging, and a split predict batch imports
+    # concurrent.futures, which imports logging itself (5.4-10.1 ms with
+    # -X importtime after numpy, 2-CPU Xeon host). A cold `import seasonvpc`
+    # pays for neither.
+    tests = Path(__file__).resolve().parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(tests.parent / "src"), os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, seasonvpc; print(*(m for m in ('logging', 'concurrent.futures') "
+            "if m in sys.modules))")
     child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                            text=True, timeout=120)
     assert child.returncode == 0, child.stderr

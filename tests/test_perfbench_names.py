@@ -115,7 +115,8 @@ def test_perfbench_smoke_passes():
     # run_vpc's rankings, the states and the partitions through the API.
     proc = subprocess.run([sys.executable, "perfbench/smoke.py"], cwd=PERFBENCH.parent,
                           capture_output=True, text=True, timeout=600)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.returncode == 0, (f"stdout (tail):\n{proc.stdout[-2000:]}\n"
+                                  f"stderr (tail):\n{proc.stderr[-2000:]}")
 
 
 def test_every_run_vpc_calls_the_traced_names(monkeypatch):

@@ -271,9 +271,9 @@ def test_stack_matches_per_model_oracle_at_one_blas_thread():
                for m in models)
     widths = {ModelStack(models).width for models in stacks}
     assert None in widths and 20 in widths
-    # both layouts, the stacked one at S 1-4
+    # both layouts, the stacked one at S 2-4
     stacked = {len(models) for models in stacks if ModelStack(models).w1t is not None}
-    assert stacked == {1, 2, 3, 4}
+    assert stacked == {2, 3, 4}
     assert any(ModelStack(models).w1t is None for models in stacks)
     run_at_one_blas_thread(check_stack_matches_per_model_oracle)
 
@@ -378,8 +378,11 @@ def test_stack_layout_is_chosen_by_shape():
     stack = _stack_of(accept)
     assert stack.w1t.shape == (4, 1, 32, 64) and stack.w2t.shape == (4, 64, 20)
     assert stack.w1t.nbytes + stack.w2t.nbytes <= BLOCK_BYTES
+    # one slot: spans holding views of its w1 and w2
     one = _stack_of(accept[:1])
-    assert np.shares_memory(one.w1t, accept[0].w1) and np.shares_memory(one.w2t, accept[0].w2)
+    ((w1t, *_),), ((w2t, *_),) = one.body, one.heads
+    assert one.w1t is None
+    assert np.shares_memory(w1t, accept[0].w1) and np.shares_memory(w2t, accept[0].w2)
     # at 4076 x (16, 20) two slots fill BLOCK_BYTES; three are one row group past it
     shared = [init_model(4076, 16, 20, seed=s) for s in range(3)]
     assert _stack_of(shared[:2]).w1t is not None and _stack_of(shared).w1t is None
